@@ -84,18 +84,19 @@ def evolution_rate(history: FitnessHistory, window: int | None = None) -> float:
     k = history.window if window is None else window
     if k < 1:
         raise ValueError("window must be a positive integer")
-    t = history.iteration
+    bf = history.values  # bf[t - 1] is the record of iteration t
+    t = len(bf)
     if t == 0:
         raise ValueError("history is empty")
     if t == 1:
         return 1.0
     if t <= k:
-        gain = history.at(1) - history.at(t)
+        gain = bf[0] - bf[t - 1]
         steps = t
     else:
-        gain = history.at(t - k) - history.at(t)
+        gain = bf[t - k - 1] - bf[t - 1]
         steps = k
-    return gain / (steps * (abs(history.at(t - 1)) + _DENOM_EPS))
+    return gain / (steps * (abs(bf[t - 2]) + _DENOM_EPS))
 
 
 def _unit_clamp(e: float) -> float:

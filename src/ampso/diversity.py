@@ -14,6 +14,7 @@ All entropies use base-Q logarithms so their range is exactly [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,10 +110,60 @@ def fitness_diversity(swarm: Swarm, bins: int) -> float:
     return histogram_entropy(fitness, (float(fitness.min()), float(fitness.max())), bins)
 
 
+@lru_cache(maxsize=64)
+def _histogram_constants(n: int, columns: int, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
+
+    Returns the table of p log p indexed by occupancy count 0..n (the
+    exact terms :func:`_entropy_from_counts` computes), the flat-index
+    offset of each column, and log(bins).
+    """
+    p = np.arange(n + 1) / n
+    plogp = p * np.log(np.where(p > 0, p, 1.0))
+    offsets = np.arange(columns) * bins
+    plogp.setflags(write=False)
+    offsets.setflags(write=False)
+    return plogp, offsets, np.log(bins)
+
+
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
-    """Average of position and fitness entropy, with both components."""
-    e_pos, per_dim = position_diversity(swarm, bounds, bins)
-    e_fit = fitness_diversity(swarm, bins)
+    """Average of position and fitness entropy, with both components.
+
+    Equal, bit for bit, to combining :func:`position_diversity` and
+    :func:`fitness_diversity`, but bins positions and fitness together:
+    one (n, D+1) block whose last column is fitness over its [min, max],
+    one ``bincount``, and p log p read from a table indexed by count.
+    """
+    positions, fitness = swarm.positions, swarm.current_fitness
+    n, d = positions.shape
+    if n == 0:
+        raise ValueError("swarm must be non-empty")
+    if bins < 2:
+        raise ValueError("bins must be at least 2")
+    plogp, offsets, log_bins = _histogram_constants(n, d + 1, bins)
+    f_lo, f_hi = np.minimum.reduce(fitness), np.maximum.reduce(fitness)
+    f_width = f_hi - f_lo
+
+    scale = np.empty(d + 1)
+    np.subtract(bounds.upper, bounds.lower, out=scale[:d])
+    scale[d] = f_width if f_width > 0 else 1.0
+    np.divide(bins, scale, out=scale)
+    block = np.empty((n, d + 1))
+    np.subtract(positions, bounds.lower, out=block[:, :d])
+    np.subtract(fitness, f_lo, out=block[:, d])
+    block *= scale
+    # int cast truncates toward zero; the clamps repair both edges
+    idx = block.astype(np.intp)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, bins - 1, out=idx)
+    idx += offsets
+    counts = np.bincount(idx.ravel(), minlength=(d + 1) * bins).reshape(d + 1, bins)
+    entropy = -np.add.reduce(plogp[counts], axis=-1) / log_bins
+
+    per_dim = entropy[:d]
+    e_pos = float(np.add.reduce(per_dim) / d)
+    # a flat fitness range reads exactly 0.0, as in histogram_entropy
+    e_fit = float(entropy[d]) if f_hi != f_lo else 0.0
     return DiversityReading(
         position_entropy=e_pos,
         fitness_entropy=e_fit,

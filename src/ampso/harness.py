@@ -86,6 +86,11 @@ class CampaignSpec:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not 0 <= self.base_seed <= 2**64 - self.runs:
+            raise ValueError(
+                f"run seeds {self.base_seed}..{self.base_seed + self.runs - 1} "
+                "must fit in an unsigned 64-bit integer"
+            )
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHMS:
                 known = ", ".join(sorted(ALGORITHMS))
@@ -201,6 +206,11 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+def _json_number(value: float) -> float | None:
+    """JSON has no NaN or infinity: non-finite statistics are written as null."""
+    return value if math.isfinite(value) else None
+
+
 def write_campaign_outputs(
     out_dir: str, records: list[RunRecord], cells: list[CellResult]
 ) -> dict[str, str]:
@@ -255,17 +265,17 @@ def write_campaign_outputs(
                 "function": c.function,
                 "dim": c.dim,
                 "runs": c.runs,
-                "mean": c.stats.mean,
-                "std": c.stats.std,
-                "best": c.stats.best,
-                "worst": c.stats.worst,
-                "median": c.stats.median,
+                "mean": _json_number(c.stats.mean),
+                "std": _json_number(c.stats.std),
+                "best": _json_number(c.stats.best),
+                "worst": _json_number(c.stats.worst),
+                "median": _json_number(c.stats.median),
                 **({"error": c.error} if c.error else {}),
             }
             for c in cells
         ],
     }
-    _atomic_write(json_path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(json_path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
     return {"runs": runs_path, "summary_csv": summary_path, "summary_json": json_path}
 

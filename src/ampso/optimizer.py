@@ -16,7 +16,9 @@ swarm under the same budget, trace and result contract.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -88,6 +90,15 @@ class AmpsoConfig:
     expl_omega_rate: float = 2.67
 
     def validate(self) -> None:
+        for name, hint in get_type_hints(AmpsoConfig).items():
+            value = getattr(self, name)
+            if hint == int | None and value is None:
+                continue
+            if hint in (int, int | None):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if min(self.exploration_size, self.sub_swarm_size, self.exploitation_size, self.convergence_size) < 1:
             raise ConfigError("swarm sizes must be positive")
         if self.exploration_size % self.sub_swarm_size != 0:

@@ -52,13 +52,10 @@ class KinematicParams:
     vmax: np.ndarray
 
 
-def _absorb(swarm: Swarm, idx: np.ndarray, fitness: np.ndarray) -> None:
-    """Fold fresh evaluations of particles ``idx`` into bests."""
-    improved = fitness < swarm.best_fitness[idx]
-    winners = idx[improved]
-    swarm.best_positions[winners] = swarm.positions[winners]
-    swarm.best_fitness[winners] = fitness[improved]
-    swarm.refresh_global_best()
+def _clip_into(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+    """Clip ``values`` into [low, high] in place (np.clip costs more per call)."""
+    np.maximum(values, low, out=values)
+    np.minimum(values, high, out=values)
 
 
 def pso_step(
@@ -74,29 +71,45 @@ def pso_step(
     v <- omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with fresh r1
     and r2 for every particle and dimension, velocity clipped to +-vmax,
     position clipped to the bounds, then one re-evaluation per particle.
-    Unselected particles are untouched.  Draw order: r1 block, r2 block.
+    Unselected particles are untouched.  Draw order: one (2, n, D) uniform
+    block, r1 then r2 (the same stream as an r1 block followed by an r2
+    block).
     """
-    requested = np.arange(swarm.size) if subset is None else np.asarray(subset, dtype=np.intp)
-    affordable = min(len(requested), counter.remaining)
-    idx = requested[:affordable]
-    if len(idx) > 0:
-        d = swarm.dimension
-        r1 = rng.uniform(size=(len(idx), d))
-        r2 = rng.uniform(size=(len(idx), d))
-        x = swarm.positions[idx]
-        v = (
-            params.omega * swarm.velocities[idx]
-            + params.c1 * r1 * (swarm.best_positions[idx] - x)
-            + params.c2 * r2 * (swarm.global_best_position - x)
-        )
-        np.clip(v, -params.vmax, params.vmax, out=v)
-        x = np.clip(x + v, spec.bounds.lower, spec.bounds.upper)
-        swarm.velocities[idx] = v
-        swarm.positions[idx] = x
+    if subset is None:
+        # a slice selects views, so the in-place updates below write through
+        requested = swarm.size
+        sel = slice(0, min(requested, counter.remaining))
+    else:
+        subset = np.asarray(subset, dtype=np.intp)
+        requested = len(subset)
+        sel = subset[: counter.remaining]
+    x = swarm.positions[sel]
+    affordable = len(x)
+    if affordable > 0:
+        v = swarm.velocities[sel]
+        r1, r2 = rng.uniform(size=(2, affordable, swarm.dimension))
+        r1 *= params.c1
+        r1 *= swarm.best_positions[sel] - x
+        r2 *= params.c2
+        r2 *= swarm.global_best_position - x
+        v *= params.omega
+        v += r1
+        v += r2
+        _clip_into(v, -params.vmax, params.vmax)
+        x += v
+        _clip_into(x, spec.bounds.lower, spec.bounds.upper)
+        if subset is not None:  # fancy indexing handed out copies
+            swarm.velocities[sel] = v
+            swarm.positions[sel] = x
         fitness = evaluate_batch(spec, x, counter)
-        swarm.current_fitness[idx] = fitness
-        _absorb(swarm, idx, fitness)
-    if affordable < len(requested):
+        swarm.current_fitness[sel] = fitness
+        # fold the fresh evaluations into the personal and global bests
+        rows = (fitness < swarm.best_fitness[sel]).nonzero()[0]
+        winners = rows if subset is None else sel[rows]
+        swarm.best_positions[winners] = x[rows]
+        swarm.best_fitness[winners] = fitness[rows]
+        swarm.refresh_global_best()
+    if affordable < requested:
         raise BudgetExhausted("budget exhausted mid-step", consumed=affordable)
 
 
@@ -123,8 +136,10 @@ def spawn_artificial_swarm(
     bounds = spec.bounds
     seed_position = np.asarray(seed_position, dtype=float)
     n = min(size, counter.remaining)
-    offsets = rng.normal(0.0, SPAWN_SPREAD, size=(n, spec.dimension))
-    positions = np.clip(seed_position + bounds.span * offsets, bounds.lower, bounds.upper)
+    positions = rng.normal(0.0, SPAWN_SPREAD, size=(n, spec.dimension))
+    positions *= bounds.span
+    positions += seed_position
+    _clip_into(positions, bounds.lower, bounds.upper)
     velocities = rng.uniform(low=-1.0, high=1.0, size=(n, spec.dimension)) * vmax
     fitness = evaluate_batch(spec, positions, counter)
     if n < size:
@@ -132,7 +147,7 @@ def spawn_artificial_swarm(
             f"budget exhausted after spawning {n} of {size} particles", consumed=n
         )
 
-    best = int(np.argmin(fitness))
+    best = int(fitness.argmin())
     if fitness[best] < seed_fitness:
         gb_position, gb_fitness = positions[best].copy(), float(fitness[best])
     else:
@@ -147,6 +162,16 @@ def spawn_artificial_swarm(
         global_best_fitness=gb_fitness,
         role=role,
     )
+
+
+def _install(swarm: Swarm, sel, positions: np.ndarray, fitness: np.ndarray) -> None:
+    """Put rebuilt particles at rows ``sel``: at rest, personal best = new point."""
+    swarm.positions[sel] = positions
+    swarm.velocities[sel] = 0.0
+    swarm.current_fitness[sel] = fitness
+    swarm.best_positions[sel] = positions
+    swarm.best_fitness[sel] = fitness
+    swarm.refresh_global_best()
 
 
 def _worst_indices(current_fitness: np.ndarray, n: int) -> np.ndarray:
@@ -186,17 +211,11 @@ def partial_reconstruct(
     if affordable > 0:
         dims = rng.integers(0, swarm.dimension, size=affordable)
         r = rng.normal(0.0, sigma, size=affordable)
-        positions = np.tile(swarm.global_best_position, (affordable, 1))
-        moved = positions[np.arange(affordable), dims] + bounds.span[dims] * r
-        positions[np.arange(affordable), dims] = moved
-        positions = np.clip(positions, bounds.lower, bounds.upper)
-        fitness = evaluate_batch(spec, positions, counter)
-        swarm.positions[idx] = positions
-        swarm.velocities[idx] = 0.0
-        swarm.current_fitness[idx] = fitness
-        swarm.best_positions[idx] = positions
-        swarm.best_fitness[idx] = fitness
-        swarm.refresh_global_best()
+        positions = np.empty((affordable, swarm.dimension))
+        positions[:] = swarm.global_best_position
+        positions[np.arange(affordable), dims] += bounds.span[dims] * r
+        _clip_into(positions, bounds.lower, bounds.upper)
+        _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
     if affordable < n_worst:
         raise BudgetExhausted("budget exhausted mid-reconstruction", consumed=affordable)
 
@@ -222,17 +241,10 @@ def full_reconstruct(
     n = swarm.size
     affordable = min(n, counter.remaining)
     if affordable > 0:
-        g = rng.normal(0.0, sigma, size=(affordable, swarm.dimension))
-        positions = np.clip(
-            swarm.global_best_position + bounds.span * g, bounds.lower, bounds.upper
-        )
-        fitness = evaluate_batch(spec, positions, counter)
-        idx = np.arange(affordable)
-        swarm.positions[idx] = positions
-        swarm.velocities[idx] = 0.0
-        swarm.current_fitness[idx] = fitness
-        swarm.best_positions[idx] = positions
-        swarm.best_fitness[idx] = fitness
-        swarm.refresh_global_best()
+        positions = rng.normal(0.0, sigma, size=(affordable, swarm.dimension))
+        positions *= bounds.span
+        positions += swarm.global_best_position
+        _clip_into(positions, bounds.lower, bounds.upper)
+        _install(swarm, slice(0, affordable), positions, evaluate_batch(spec, positions, counter))
     if affordable < n:
         raise BudgetExhausted("budget exhausted mid-reconstruction", consumed=affordable)

@@ -109,6 +109,14 @@ class TestConfigHandling:
         code, _, _ = run_cli(["run", "--config", str(config_path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [("entropy_bins", 12.5), ("rate_window", True)])
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(["run", "--config", str(config_path)] + BUDGET_ARGS, capsys)
+        assert code == 2
+        assert key in err
+
     def test_bad_usage_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -235,6 +243,15 @@ class TestBenchCommand:
             ("gpso", "sphere"),
             ("gpso", "griewank"),
         ]
+
+    def test_run_seeds_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        args = ["bench", "--function", "sphere", "--dim", "2", "--runs", "2", "--out", str(tmp_path / "b")]
+        code, _, err = run_cli(args + ["--seed", str(2**64 - 1)] + BUDGET_ARGS, capsys)
+        assert code == 2
+        assert "64-bit" in err
+        assert not (tmp_path / "b").exists()
+        code, _, _ = run_cli(args + ["--seed", str(2**64 - 2)] + BUDGET_ARGS, capsys)
+        assert code == 0
 
     def test_campaign_reproducibility(self, tmp_path, capsys):
         args = [

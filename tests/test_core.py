@@ -23,6 +23,13 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(np.array([0.0, 5.0]), np.array([1.0, 4.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Bounds(np.array([-1.0, bad]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Bounds(np.array([-1.0, -1.0]), np.array([bad, 1.0]))
+
     def test_diagonal_length_recomputable(self):
         bounds = Bounds(np.array([0.0, -2.0]), np.array([3.0, 2.0]))
         assert bounds.diagonal_length == pytest.approx(5.0, abs=1e-15)

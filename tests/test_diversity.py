@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ampso.core import Bounds
 from ampso.diversity import (
@@ -222,3 +225,38 @@ class TestEntropyProperties:
             assert adap_center_diversity(build_swarm(positions), bounds) == pytest.approx(
                 adap_center_diversity(build_swarm(positions[order]), bounds), abs=1e-12
             )
+
+
+@st.composite
+def swarm_cases(draw):
+    """Random swarms over [-5, 5]^D with edge values, collapse and flat fitness."""
+    n = draw(st.sampled_from([1, 5, 40]))
+    d = draw(st.sampled_from([1, 10, 100]))
+    bins = draw(st.integers(2, 20))
+    coordinate = st.one_of(st.sampled_from([-5.0, 5.0, 0.0]), st.floats(-5.0, 5.0))
+    positions = draw(arrays(np.float64, (n, d), elements=coordinate))
+    if draw(st.booleans()):
+        positions[:] = positions[0]
+    fitness = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    if draw(st.booleans()):
+        fitness[:] = fitness[0]
+    return Bounds.cube(-5.0, 5.0, d), build_swarm(positions, fitness), bins
+
+
+class TestFusedHybridMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(swarm_cases())
+    def test_equal_field_by_field(self, case):
+        bounds, swarm, bins = case
+        e_pos, per_dim = position_diversity(swarm, bounds, bins)
+        e_fit = fitness_diversity(swarm, bins)
+        reading = hybrid_diversity(swarm, bounds, bins)
+        assert reading.position_entropy == e_pos
+        assert reading.fitness_entropy == e_fit
+        assert reading.hybrid == (e_pos + e_fit) / 2.0
+        assert np.array_equal(reading.per_dimension, per_dim)
+        # traces write repr(hybrid), so even the sign of a zero must match
+        assert repr(reading.position_entropy) == repr(e_pos)
+        assert repr(reading.fitness_entropy) == repr(e_fit)
+        assert repr(reading.hybrid) == repr((e_pos + e_fit) / 2.0)
+        assert np.array_equal(np.signbit(reading.per_dimension), np.signbit(per_dim))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ampso import harness
 from ampso.harness import (
     TRACE_COLUMNS,
     CampaignSpec,
@@ -125,6 +126,27 @@ class TestCampaign:
         records_p, cells_p = run_campaign(parallel)
         assert records_s == records_p
         assert cells_s == cells_p
+
+    def test_failed_cell_writes_strict_json(self, tmp_path, monkeypatch):
+        def crash(config, spec, seed=None):
+            raise RuntimeError("objective blew up")
+
+        monkeypatch.setitem(harness.ALGORITHMS, "gpso", crash)
+        campaign = CampaignSpec(
+            algorithms=("ampso", "gpso"), functions=("sphere",), dimensions=(2,), runs=2, config=TINY
+        )
+        records, cells = run_campaign(campaign)
+        paths = write_campaign_outputs(str(tmp_path), records, cells)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(paths["summary_json"]) as handle:
+            summary = json.load(handle, parse_constant=reject)
+        ok, failed = summary["cells"]
+        assert "error" not in ok and math.isfinite(ok["mean"])
+        assert failed["error"]
+        assert [failed[k] for k in ("mean", "std", "best", "worst", "median")] == [None] * 5
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

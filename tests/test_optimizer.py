@@ -50,6 +50,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AmpsoConfig(replace_ratio=1.0).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"entropy_bins": 12.5},
+            {"rate_window": True},
+            {"exploitation_size": "40"},
+            {"fe_budget": 2000.0},
+            {"seed": False},
+            {"c1": "1.5"},
+            {"c1": True},
+            {"vmax_factor": math.nan},
+            {"stagnation_threshold": math.inf},
+        ],
+    )
+    def test_mistyped_fields_rejected(self, overrides):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            AmpsoConfig(**overrides).validate()
+
+    def test_numeric_types_accepted(self):
+        AmpsoConfig(entropy_bins=np.int64(12), c1=2, vmax_factor=np.float64(0.02), fe_budget=None).validate()
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             AmpsoConfig().with_overrides(bogus=1)
