@@ -1,64 +1,8 @@
 """Multi-swarm particle swarm optimizer with a benchmark harness."""
 
-from .adaptation import (
-    FitnessHistory,
-    StagnationCounter,
-    evolution_rate,
-    linear_inertia,
-    omega_exploration,
-    omega_standard,
-    reconstruct_probability,
-    sigma_reconstruction,
-)
-from .benchmarks import (
-    REGISTRY,
-    BenchmarkEntry,
-    UnknownFunctionError,
-    compose_transform,
-    eval_registry_function,
-    make_spec,
-    random_rotation,
-)
-from .core import (
-    Bounds,
-    BudgetExhausted,
-    EvalCounter,
-    ObjectiveSpec,
-    Particle,
-    RngStream,
-    Swarm,
-    clamp_to_bounds,
-    evaluate,
-    evaluate_batch,
-    initialize_swarm,
-)
-from .diversity import (
-    DiversityReading,
-    adap_center_diversity,
-    adap_pairwise_diversity,
-    fitness_diversity,
-    histogram_entropy,
-    hybrid_diversity,
-    position_diversity,
-)
-from .harness import CampaignSpec, StatsSummary, run_campaign, write_campaign_outputs, write_trace_csv
-from .optimizer import (
-    AmpsoConfig,
-    ConfigError,
-    IterationPlan,
-    PhaseSpan,
-    PhaseState,
-    RunResult,
-    TracePoint,
-    run_ampso,
-    run_gpso,
-)
-from .swarm_ops import (
-    KinematicParams,
-    full_reconstruct,
-    partial_reconstruct,
-    pso_step,
-    spawn_artificial_swarm,
-)
+from .benchmarks import REGISTRY, make_spec, random_rotation
+from .core import Bounds, ObjectiveSpec
+from .harness import CampaignSpec, run_campaign, write_campaign_outputs, write_trace_csv
+from .optimizer import AmpsoConfig, ConfigError, PhaseSpan, RunResult, TracePoint, run_ampso, run_gpso
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "FitnessHistory",
-    "StagnationCounter",
     "evolution_rate",
     "omega_exploration",
     "omega_standard",
@@ -42,31 +41,8 @@ class FitnessHistory:
         if self.window < 1:
             raise ValueError("window must be a positive integer")
 
-    @property
-    def iteration(self) -> int:
-        return len(self.values)
-
     def record(self, best_fitness: float) -> None:
         self.values.append(float(best_fitness))
-
-    def at(self, t: int) -> float:
-        """Best fitness recorded at iteration t (1-based)."""
-        if not 1 <= t <= self.iteration:
-            raise IndexError(f"no record for iteration {t}")
-        return self.values[t - 1]
-
-
-@dataclass
-class StagnationCounter:
-    """Consecutive-ish count of stalled iterations; reset on reconstruction."""
-
-    count: int = 0
-
-    def bump(self) -> None:
-        self.count += 1
-
-    def reset(self) -> None:
-        self.count = 0
 
 
 def evolution_rate(history: FitnessHistory, window: int | None = None) -> float:

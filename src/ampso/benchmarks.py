@@ -20,9 +20,7 @@ __all__ = [
     "REGISTRY",
     "UnknownFunctionError",
     "get_entry",
-    "eval_registry_function",
     "make_spec",
-    "compose_transform",
     "random_rotation",
 ]
 
@@ -87,8 +85,6 @@ class BenchmarkEntry:
     default_bounds: tuple[float, float]
     optimum_coordinate: float  # optimum position is this value in every dimension
     optimum_value: float
-    modality: str  # "unimodal" | "multimodal"
-    arity: str = "any-D"
 
     def optimum_position(self, dimension: int) -> np.ndarray:
         return np.full(dimension, self.optimum_coordinate)
@@ -101,14 +97,12 @@ class BenchmarkEntry:
 REGISTRY: dict[str, BenchmarkEntry] = {
     e.name: e
     for e in [
-        BenchmarkEntry("sphere", sphere, (-100.0, 100.0), 0.0, 0.0, "unimodal"),
-        BenchmarkEntry("rosenbrock", rosenbrock, (-100.0, 100.0), 1.0, 0.0, "unimodal"),
-        BenchmarkEntry("ackley", ackley, (-100.0, 100.0), 0.0, 0.0, "multimodal"),
-        BenchmarkEntry("rastrigin", rastrigin, (-100.0, 100.0), 0.0, 0.0, "multimodal"),
-        BenchmarkEntry("griewank", griewank, (-100.0, 100.0), 0.0, 0.0, "multimodal"),
-        BenchmarkEntry(
-            "schwefel_226", schwefel_226, (-500.0, 500.0), _SCHWEFEL_XSTAR, 0.0, "multimodal"
-        ),
+        BenchmarkEntry("sphere", sphere, (-100.0, 100.0), 0.0, 0.0),
+        BenchmarkEntry("rosenbrock", rosenbrock, (-100.0, 100.0), 1.0, 0.0),
+        BenchmarkEntry("ackley", ackley, (-100.0, 100.0), 0.0, 0.0),
+        BenchmarkEntry("rastrigin", rastrigin, (-100.0, 100.0), 0.0, 0.0),
+        BenchmarkEntry("griewank", griewank, (-100.0, 100.0), 0.0, 0.0),
+        BenchmarkEntry("schwefel_226", schwefel_226, (-500.0, 500.0), _SCHWEFEL_XSTAR, 0.0),
     ]
 }
 
@@ -121,12 +115,6 @@ def get_entry(name: str) -> BenchmarkEntry:
         raise UnknownFunctionError(f"unknown function {name!r}; available: {known}") from None
 
 
-def eval_registry_function(name: str, x: np.ndarray) -> float | np.ndarray:
-    """Evaluate a registry function by name, without transform or counting."""
-    value = get_entry(name).function(np.asarray(x, dtype=float))
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def make_spec(
     name: str,
     dimension: int,
@@ -134,7 +122,12 @@ def make_spec(
     rotation: np.ndarray | None = None,
     bounds: Bounds | None = None,
 ) -> ObjectiveSpec:
-    """Pose a problem instance from a registry entry."""
+    """Pose a problem instance from a registry entry: f(rotation @ (x - shift)).
+
+    For entries whose raw optimum is the origin, the optimum moves to
+    ``shift`` (rotations fix the origin of the transformed frame, so they
+    do not move it further).  Non-orthogonal rotations are rejected.
+    """
     entry = get_entry(name)
     return ObjectiveSpec(
         function_id=entry.name,
@@ -145,23 +138,6 @@ def make_spec(
         rotation=rotation,
         optimum_value=entry.optimum_value,
     )
-
-
-def compose_transform(
-    entry: BenchmarkEntry | str,
-    shift: np.ndarray,
-    rotation: np.ndarray | None = None,
-) -> ObjectiveSpec:
-    """Shifted/rotated instance: evaluates f(rotation @ (x - shift)).
-
-    For entries whose raw optimum is the origin, the optimum moves to
-    ``shift`` (rotations fix the origin of the transformed frame, so they
-    do not move it further).  Non-orthogonal rotations are rejected.
-    """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
-    shift = np.asarray(shift, dtype=float)
-    return make_spec(entry.name, shift.size, shift=shift, rotation=rotation)
 
 
 def random_rotation(dimension: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,7 @@ Subcommands:
 Configuration precedence (lowest to highest): built-in defaults, --config
 JSON file, AMPSO_<FIELD> environment variables, explicit flags.  Config
 keys and environment variable names mirror the AmpsoConfig fields, e.g.
-AMPSO_ENTROPY_BINS=12.
+AMPSO_ENTROPY_BINS=12; environment values are read as JSON scalars.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -20,9 +20,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
 
-from .benchmarks import REGISTRY, UnknownFunctionError, make_spec
+from .benchmarks import make_spec
 from .harness import (
     ALGORITHMS,
     CampaignSpec,
@@ -42,10 +41,6 @@ class UsageError(Exception):
     pass
 
 
-# AmpsoConfig uses postponed annotations, so field types arrive as strings.
-_FIELD_PARSERS = {"int": int, "float": float, "int | None": int, "str": str}
-
-
 def load_config(path: str | None, env: dict[str, str], cli_overrides: dict) -> AmpsoConfig:
     """Layer file, environment and flag overrides over the defaults."""
     overrides: dict = {}
@@ -62,22 +57,19 @@ def load_config(path: str | None, env: dict[str, str], cli_overrides: dict) -> A
             raise UsageError("config file must hold a JSON object")
         overrides.update(data)
 
-    for spec_field in fields(AmpsoConfig):
-        raw = env.get(ENV_PREFIX + spec_field.name.upper())
+    for name in AmpsoConfig.field_names():
+        raw = env.get(ENV_PREFIX + name.upper())
         if raw is not None:
-            parse = _FIELD_PARSERS.get(str(spec_field.type), str)
             try:
-                overrides[spec_field.name] = parse(raw)
-            except ValueError:
-                raise UsageError(
-                    f"environment override {ENV_PREFIX}{spec_field.name.upper()}={raw!r} is invalid"
-                )
+                overrides[name] = json.loads(raw)
+            except ValueError:  # not a JSON scalar: validate() names the field
+                overrides[name] = raw
 
     overrides.update(cli_overrides)
     try:
         config = AmpsoConfig().with_overrides(**overrides)
         config.validate()
-    except (ConfigError, TypeError) as exc:  # TypeError: mistyped file values
+    except ConfigError as exc:
         raise UsageError(str(exc))
     return config
 
@@ -136,40 +128,36 @@ def _resolve_seed(raw: str | None, config: AmpsoConfig) -> int:
         raise UsageError(f"--seed must be an integer or 'clock', got {raw!r}")
 
 
-def _split_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _split_list(raw: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-def _resolve_algorithms(raw: str) -> list[str]:
-    names = _split_list(raw)
-    for name in names:
-        if name not in ALGORITHMS:
-            known = ", ".join(sorted(ALGORITHMS))
-            raise UsageError(f"unknown algorithm {raw!r}; available: {known}")
-    return names
-
-
-def _resolve_functions(raw: str) -> list[str]:
-    names = _split_list(raw)
-    for name in names:
-        if name not in REGISTRY:
-            known = ", ".join(sorted(REGISTRY))
-            raise UsageError(f"unknown function {name!r}; available: {known}")
-    return names
+def _campaign(args, config: AmpsoConfig, base_seed: int, runs: int = 1, jobs: int = 1) -> CampaignSpec:
+    """The command's grid, validated: names, dimension, seeds and config."""
+    campaign = CampaignSpec(
+        algorithms=_split_list(args.algo),
+        functions=_split_list(args.function),
+        dimensions=(args.dim,),
+        runs=runs,
+        base_seed=base_seed,
+        config=config,
+        jobs=jobs,
+    )
+    try:
+        campaign.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return campaign
 
 
 def _single_run(args, config: AmpsoConfig):
-    algorithms = _resolve_algorithms(args.algo)
-    functions = _resolve_functions(args.function)
-    if len(algorithms) != 1 or len(functions) != 1:
+    config = config.with_overrides(seed=_resolve_seed(args.seed, config))
+    campaign = _campaign(args, config, config.seed)
+    if len(campaign.algorithms) != 1 or len(campaign.functions) != 1:
         raise UsageError("this command takes a single algorithm and function")
-    algorithm, function = algorithms[0], functions[0]
-    if args.dim < 1:
-        raise UsageError("--dim must be at least 1")
-    seed = _resolve_seed(args.seed, config)
-    spec = make_spec(function, args.dim)
-    result = ALGORITHMS[algorithm](config, spec, seed=seed)
-    return algorithm, function, seed, result
+    (algorithm,), (function,) = campaign.algorithms, campaign.functions
+    result = ALGORITHMS[algorithm](config, make_spec(function, args.dim))
+    return algorithm, function, config.seed, result
 
 
 def cmd_run(args) -> int:
@@ -199,22 +187,8 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     config = load_config(args.config, os.environ, _cli_config_overrides(args))
-    if args.dim < 1:
-        raise UsageError("--dim must be at least 1")
     base_seed = _resolve_seed(args.seed, config)
-    campaign = CampaignSpec(
-        algorithms=tuple(_resolve_algorithms(args.algo)),
-        functions=tuple(_resolve_functions(args.function)),
-        dimensions=(args.dim,),
-        runs=args.runs,
-        base_seed=base_seed,
-        config=config,
-        jobs=args.jobs,
-    )
-    try:
-        campaign.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    campaign = _campaign(args, config, base_seed, runs=args.runs, jobs=args.jobs)
     records, cells = run_campaign(campaign)
     paths = write_campaign_outputs(args.out, records, cells)
     for cell in cells:
@@ -238,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except UnknownFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -16,13 +16,10 @@ import numpy as np
 __all__ = [
     "BudgetExhausted",
     "Bounds",
-    "Particle",
     "Swarm",
     "ObjectiveSpec",
     "EvalCounter",
     "RngStream",
-    "clamp_to_bounds",
-    "evaluate",
     "evaluate_batch",
     "initialize_swarm",
 ]
@@ -33,13 +30,9 @@ ROTATION_ORTHO_TOL = 1e-8
 class BudgetExhausted(RuntimeError):
     """The evaluation budget cannot cover a requested operation.
 
-    ``consumed`` reports how many evaluations the failed operation spent
-    before running dry, so callers can account for partial work.
+    Raised before the operation draws, writes or evaluates anything, so
+    a failed operation has spent nothing.
     """
-
-    def __init__(self, message: str, consumed: int = 0):
-        super().__init__(message)
-        self.consumed = consumed
 
 
 @dataclass(frozen=True)
@@ -80,31 +73,6 @@ class Bounds:
         return float(np.linalg.norm(self.span))
 
 
-def clamp_to_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Clip every coordinate into its [lower, upper] interval.
-
-    Coordinates already inside the box are returned unchanged; the
-    operation is idempotent.
-    """
-    position = np.asarray(position, dtype=float)
-    if position.shape[-1] != bounds.dimension:
-        raise ValueError(
-            f"position has {position.shape[-1]} coordinates, bounds expect {bounds.dimension}"
-        )
-    return np.clip(position, bounds.lower, bounds.upper)
-
-
-@dataclass
-class Particle:
-    """One candidate solution: where it is, how it moves, the best it has seen."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
-    current_fitness: float
-
-
 @dataclass
 class Swarm:
     """A population stored as row-per-particle matrices.
@@ -112,9 +80,6 @@ class Swarm:
     ``global_best_*`` is the incumbent best ever observed by this swarm;
     reconstruction operators may replace the particle it came from, so it
     is tracked separately and only ever improves.
-
-    Canonical roles are ``exploration-sub``, ``exploitation`` and
-    ``convergence``; the baseline optimizer uses ``gpso``.
     """
 
     positions: np.ndarray
@@ -124,7 +89,32 @@ class Swarm:
     current_fitness: np.ndarray
     global_best_position: np.ndarray
     global_best_fitness: float
-    role: str
+
+    @classmethod
+    def fresh(
+        cls,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        fitness: np.ndarray,
+        incumbent: tuple[np.ndarray, float] | None = None,
+    ) -> "Swarm":
+        """Newly evaluated swarm whose personal bests are its positions.
+
+        The global best is the best new particle, or ``incumbent``, a
+        (position, fitness) pair known before the swarm, unless beaten.
+        """
+        best = int(fitness.argmin())
+        if incumbent is None or fitness[best] < incumbent[1]:
+            incumbent = (positions[best], fitness[best])
+        return cls(
+            positions=positions,
+            velocities=velocities,
+            best_positions=positions.copy(),
+            best_fitness=fitness.copy(),
+            current_fitness=fitness,
+            global_best_position=np.array(incumbent[0], dtype=float),
+            global_best_fitness=float(incumbent[1]),
+        )
 
     @property
     def size(self) -> int:
@@ -133,16 +123,6 @@ class Swarm:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
-
-    def particle(self, i: int) -> Particle:
-        """Row view of particle ``i`` (mutations write through)."""
-        return Particle(
-            position=self.positions[i],
-            velocity=self.velocities[i],
-            best_position=self.best_positions[i],
-            best_fitness=float(self.best_fitness[i]),
-            current_fitness=float(self.current_fitness[i]),
-        )
 
     def refresh_global_best(self) -> None:
         """Pull the global best down to the best personal best, keeping the incumbent."""
@@ -213,12 +193,16 @@ class EvalCounter:
     def remaining(self) -> int:
         return self.budget - self.used
 
-    def spend(self, n: int = 1) -> None:
-        """Consume ``n`` evaluations, or raise without consuming anything."""
+    def require(self, n: int) -> None:
+        """Raise :class:`BudgetExhausted` unless ``n`` evaluations are left."""
         if n > self.remaining:
             raise BudgetExhausted(
                 f"budget exhausted: {n} evaluations requested, {self.remaining} left"
             )
+
+    def spend(self, n: int = 1) -> None:
+        """Consume ``n`` evaluations, or raise without consuming anything."""
+        self.require(n)
         self.used += n
 
 
@@ -263,22 +247,12 @@ def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCoun
     if positions.ndim != 2 or positions.shape[1] != spec.dimension:
         raise ValueError(f"expected an (n, {spec.dimension}) position block")
     counter.spend(positions.shape[0])
-    values = np.asarray(spec.function(spec.transform(positions)), dtype=float)
-    return values
-
-
-def evaluate(spec: ObjectiveSpec, position: np.ndarray, counter: EvalCounter) -> float:
-    """Evaluate one position, spending exactly one evaluation."""
-    position = np.asarray(position, dtype=float)
-    if position.shape != (spec.dimension,):
-        raise ValueError(f"position must be a vector of length {spec.dimension}")
-    return float(evaluate_batch(spec, position[None, :], counter)[0])
+    return np.asarray(spec.function(spec.transform(positions)), dtype=float)
 
 
 def initialize_swarm(
     spec: ObjectiveSpec,
     size: int,
-    role: str,
     rng: RngStream,
     vmax: np.ndarray,
     counter: EvalCounter,
@@ -295,25 +269,8 @@ def initialize_swarm(
     vmax = np.asarray(vmax, dtype=float)
     if vmax.shape != (spec.dimension,) or not np.all(vmax > 0):
         raise ValueError("vmax must be a positive vector of length D")
-
+    counter.require(size)
     bounds = spec.bounds
-    n = min(size, counter.remaining)
-    positions = rng.uniform(size=(n, spec.dimension)) * bounds.span + bounds.lower
-    velocities = rng.uniform(low=-1.0, high=1.0, size=(n, spec.dimension)) * vmax
-    fitness = evaluate_batch(spec, positions, counter)
-    if n < size:
-        raise BudgetExhausted(
-            f"budget exhausted after {n} of {size} initial evaluations", consumed=n
-        )
-
-    best = int(np.argmin(fitness))
-    return Swarm(
-        positions=positions,
-        velocities=velocities,
-        best_positions=positions.copy(),
-        best_fitness=fitness.copy(),
-        current_fitness=fitness,
-        global_best_position=positions[best].copy(),
-        global_best_fitness=float(fitness[best]),
-        role=role,
-    )
+    positions = rng.uniform(size=(size, spec.dimension)) * bounds.span + bounds.lower
+    velocities = rng.uniform(low=-1.0, high=1.0, size=(size, spec.dimension)) * vmax
+    return Swarm.fresh(positions, velocities, evaluate_batch(spec, positions, counter))

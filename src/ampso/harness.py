@@ -20,10 +20,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .benchmarks import make_spec
+from .benchmarks import get_entry, make_spec
 from .optimizer import AmpsoConfig, RunResult, run_ampso, run_gpso
 
 __all__ = [
@@ -82,6 +83,8 @@ class CampaignSpec:
     jobs: int = 1
 
     def validate(self) -> None:
+        """Reject a bad grid before any run: config, counts, seeds, names, dimensions."""
+        self.config.validate()
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:
@@ -95,17 +98,21 @@ class CampaignSpec:
             if algorithm not in ALGORITHMS:
                 known = ", ".join(sorted(ALGORITHMS))
                 raise ValueError(f"unknown algorithm {algorithm!r}; available: {known}")
-        self.config.validate()
+        for function in self.functions:
+            get_entry(function)  # raises UnknownFunctionError, a ValueError
+        if any(dim < 1 for dim in self.dimensions):
+            raise ValueError("dimensions must be at least 1")
 
     def seed_for(self, run_index: int) -> int:
         return self.base_seed + run_index
 
+    def cells(self):
+        return product(self.algorithms, self.functions, self.dimensions)
+
     def tasks(self):
-        for algorithm in self.algorithms:
-            for function in self.functions:
-                for dim in self.dimensions:
-                    for run in range(self.runs):
-                        yield (algorithm, function, dim, run, self.seed_for(run), self.config)
+        for algorithm, function, dim in self.cells():
+            for run in range(self.runs):
+                yield (algorithm, function, dim, run, self.seed_for(run), self.config)
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,7 @@ class RunRecord:
     seed: int
     best_error: float
     fe_used: int
+    error: str | None = None  # "type: message" of a failed run; not written to runs.csv
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class CellResult:
     dim: int
     runs: int
     stats: StatsSummary
-    error: str | None = None  # set when the whole cell failed
+    error: str | None = None  # set when a run failed: which one, and why
 
 
 def execute_run(task) -> RunRecord:
@@ -138,12 +146,12 @@ def execute_run(task) -> RunRecord:
 
 
 def _execute_or_flag(task) -> RunRecord:
-    """Like execute_run but failures become NaN records, not exceptions."""
+    """Like execute_run but a failure becomes a NaN record naming the exception."""
     try:
         return execute_run(task)
-    except Exception:
+    except Exception as exc:
         algorithm, function, dim, run, seed, _ = task
-        return RunRecord(algorithm, function, dim, run, seed, math.nan, 0)
+        return RunRecord(algorithm, function, dim, run, seed, math.nan, 0, f"{type(exc).__name__}: {exc}")
 
 
 def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResult]]:
@@ -158,36 +166,15 @@ def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResu
 
     records = sorted(outcomes, key=lambda r: (r.algorithm, r.function, r.dim, r.run))
     cells: list[CellResult] = []
-    for algorithm in campaign.algorithms:
-        for function in campaign.functions:
-            for dim in campaign.dimensions:
-                cell_records = [
-                    r
-                    for r in records
-                    if (r.algorithm, r.function, r.dim) == (algorithm, function, dim)
-                ]
-                errors = [r.best_error for r in cell_records]
-                if any(math.isnan(e) for e in errors):
-                    cells.append(
-                        CellResult(
-                            algorithm,
-                            function,
-                            dim,
-                            len(cell_records),
-                            StatsSummary(math.nan, math.nan, math.nan, math.nan, math.nan),
-                            error="one or more runs failed",
-                        )
-                    )
-                else:
-                    cells.append(
-                        CellResult(
-                            algorithm,
-                            function,
-                            dim,
-                            len(cell_records),
-                            StatsSummary.from_errors(errors),
-                        )
-                    )
+    for cell in campaign.cells():
+        cell_records = [r for r in records if (r.algorithm, r.function, r.dim) == cell]
+        failed = next((r for r in cell_records if r.error), None)
+        if failed is None:
+            stats, error = StatsSummary.from_errors([r.best_error for r in cell_records]), None
+        else:
+            stats = StatsSummary(math.nan, math.nan, math.nan, math.nan, math.nan)
+            error = f"run {failed.run} (seed {failed.seed}) failed: {failed.error}"
+        cells.append(CellResult(*cell, len(cell_records), stats, error))
     return records, cells
 
 

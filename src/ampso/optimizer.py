@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
 
 from .adaptation import (
     FitnessHistory,
-    StagnationCounter,
     evolution_rate,
     linear_inertia,
     omega_exploration,
@@ -32,8 +31,8 @@ from .adaptation import (
     reconstruct_probability,
     sigma_reconstruction,
 )
-from .core import EvalCounter, ObjectiveSpec, RngStream, initialize_swarm
-from .diversity import hybrid_diversity
+from .core import EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm
+from .diversity import DiversityReading, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "AmpsoConfig",
     "IterationPlan",
     "PhaseSpan",
-    "PhaseState",
     "TracePoint",
     "RunResult",
     "EXPLORATION",
@@ -64,11 +62,12 @@ class ConfigError(ValueError):
 class AmpsoConfig:
     """All tunables of a run.  Field names double as config-file keys.
 
-    ``fe_budget`` left as None resolves to 10000 x dimension.  The
-    iteration budget is ``fe_budget // convergence_size``; each
-    exploration block runs ``exploration_ratio`` of it, exploitation
-    blocks are capped at ``exploitation_ratio`` of it, and every
-    exploitation iteration rebuilds ``replace_ratio`` of that swarm.
+    ``fe_budget`` left as None resolves to 10000 x dimension; a set budget
+    must cover the first swarm of either algorithm.  The iteration budget
+    is ``fe_budget // convergence_size``; each exploration block runs
+    ``exploration_ratio`` of it, exploitation blocks are capped at
+    ``exploitation_ratio`` of it, and every exploitation iteration
+    rebuilds ``replace_ratio`` of that swarm.
     """
 
     exploration_size: int = 10
@@ -117,8 +116,11 @@ class AmpsoConfig:
             raise ConfigError("vmax_factor must be positive")
         if self.stagnation_threshold < 0:
             raise ConfigError("stagnation_threshold must be non-negative")
-        if self.fe_budget is not None and self.fe_budget < 1:
-            raise ConfigError("fe_budget must be a positive integer")
+        first_swarm = max(self.exploration_size, self.convergence_size)
+        if self.fe_budget is not None and self.fe_budget < first_swarm:
+            raise ConfigError(
+                f"fe_budget must cover the first swarm: at least {first_swarm} evaluations"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
@@ -164,37 +166,6 @@ class PhaseSpan:
     end_fe: int
 
 
-@dataclass
-class PhaseState:
-    """Controller bookkeeping: the active phase and its iteration counters.
-
-    ``iterations_done`` accumulates across the whole run; ``t``, the
-    history and the stagnation counter belong to the active swarm and
-    reset at every phase boundary.
-    """
-
-    phase: str
-    window: int
-    iterations_done: int = 0
-    t: int = 0
-    stagnation: StagnationCounter = field(init=False)
-    history: FitnessHistory = field(init=False)
-
-    def __post_init__(self):
-        self.stagnation = StagnationCounter()
-        self.history = FitnessHistory(window=self.window)
-
-    def enter(self, phase: str) -> None:
-        self.phase = phase
-        self.t = 0
-        self.history = FitnessHistory(window=self.window)
-        self.stagnation = StagnationCounter()
-
-    def advance(self) -> None:
-        self.iterations_done += 1
-        self.t += 1
-
-
 @dataclass(frozen=True)
 class TracePoint:
     """One logged iteration.  ``best_error`` is the best-ever error so far."""
@@ -219,17 +190,74 @@ class RunResult:
     phase_log: list[PhaseSpan]
 
 
-class _Incumbent:
-    """Best-ever solution across all swarms and phases of one run."""
+class _Run:
+    """What every swarm of one run shares: budget, randomness, best-ever
+    solution, trace and phase log.
 
-    def __init__(self):
-        self.position: np.ndarray | None = None
-        self.fitness = math.inf
+    ``iteration`` counts iterations across the whole run; the trace logs
+    it with the phase that is open.
+    """
 
-    def offer(self, position: np.ndarray, fitness: float) -> None:
-        if fitness < self.fitness:
-            self.fitness = float(fitness)
-            self.position = np.asarray(position, dtype=float).copy()
+    def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None):
+        config.validate()
+        self.config = config
+        self.spec = spec
+        self.rng = RngStream(config.seed if seed is None else seed)
+        self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
+        self.bounds = spec.bounds
+        self.vmax = config.vmax_factor * spec.bounds.span
+        self.f_star = spec.optimum_value
+        self.best_position: np.ndarray | None = None
+        self.best_fitness = math.inf
+        self.iteration = 0
+        self.trace: list[TracePoint] = []
+        self.phase_log: list[PhaseSpan] = []
+
+    def offer(self, swarm: Swarm) -> None:
+        """Take the swarm's global best if it beats the best-ever solution."""
+        if swarm.global_best_fitness < self.best_fitness:
+            self.best_fitness = float(swarm.global_best_fitness)
+            self.best_position = swarm.global_best_position.copy()
+
+    def open_phase(self, phase: str) -> None:
+        self.phase_log.append(PhaseSpan(phase, self.counter.used, self.counter.used))
+
+    def close_phase(self) -> None:
+        self.phase_log[-1].end_fe = self.counter.used
+
+    def kinematics(self, omega: float) -> KinematicParams:
+        return KinematicParams(omega, self.config.c1, self.config.c2, self.vmax)
+
+    def diversity(self, swarm: Swarm) -> DiversityReading:
+        return hybrid_diversity(swarm, self.bounds, self.config.entropy_bins)
+
+    def spawn(self, position: np.ndarray, fitness: float, size: int) -> Swarm:
+        """A swarm spawned around a known-good solution, offered as it is born."""
+        swarm = spawn_artificial_swarm(position, fitness, size, self.spec, self.rng, self.counter, self.vmax)
+        self.offer(swarm)
+        return swarm
+
+    def log(self, diversity: float, omega: float, er: float) -> None:
+        self.trace.append(
+            TracePoint(
+                fe=self.counter.used,
+                iteration=self.iteration,
+                phase=self.phase_log[-1].phase,
+                best_error=self.best_fitness - self.f_star,
+                diversity=diversity,
+                omega=omega,
+                evolution_rate=er,
+            )
+        )
+
+    def result(self) -> RunResult:
+        return RunResult(
+            best_position=self.best_position,
+            best_error=self.best_fitness - self.f_star,
+            fe_used=self.counter.used,
+            trace=self.trace,
+            phase_log=self.phase_log,
+        )
 
 
 def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
@@ -250,143 +278,102 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     Exploration trace rows log the mean diversity/inertia across
     sub-swarms and have no evolution rate.
     """
-    config.validate()
-    if seed is None:
-        seed = config.seed
-    rng = RngStream(seed)
-    budget = config.resolved_budget(spec.dimension)
-    plan = config.plan(budget)
-    counter = EvalCounter(budget=budget)
-    bounds = spec.bounds
-    vmax = config.vmax_factor * bounds.span
-    f_star = spec.optimum_value
-
-    incumbent = _Incumbent()
-    trace: list[TracePoint] = []
-    phase_log: list[PhaseSpan] = []
-    state = PhaseState(EXPLORATION, window=config.rate_window)
-
-    def log(diversity: float, omega: float, er: float) -> None:
-        trace.append(
-            TracePoint(
-                fe=counter.used,
-                iteration=state.iterations_done,
-                phase=state.phase,
-                best_error=incumbent.fitness - f_star,
-                diversity=diversity,
-                omega=omega,
-                evolution_rate=er,
-            )
-        )
-
-    # ---- alternating exploration / exploitation
-    while True:
-        if counter.remaining < config.exploration_size:
+    run = _Run(config, spec, seed)
+    plan = config.plan(run.counter.budget)
+    while run.counter.remaining >= config.exploration_size:
+        subs = _explore(run, plan)
+        if run.counter.remaining < config.exploitation_size:
             break
-        state.enter(EXPLORATION)
-        phase_log.append(PhaseSpan(EXPLORATION, counter.used, counter.used))
-        subs = [
-            initialize_swarm(spec, config.sub_swarm_size, "exploration-sub", rng, vmax, counter)
-            for _ in range(config.exploration_size // config.sub_swarm_size)
-        ]
-        for sub in subs:
-            incumbent.offer(sub.global_best_position, sub.global_best_fitness)
-        if not trace:
-            readings = [hybrid_diversity(s, bounds, config.entropy_bins).hybrid for s in subs]
-            log(float(np.mean(readings)), math.nan, math.nan)
-
-        while state.t < plan.exploration_iterations:
-            if counter.remaining < config.exploration_size:
-                break
-            state.advance()
-            diversities, omegas = [], []
-            for sub in subs:
-                e = hybrid_diversity(sub, bounds, config.entropy_bins).hybrid
-                w = omega_exploration(e, config.expl_omega_scale, config.expl_omega_rate)
-                pso_step(sub, KinematicParams(w, config.c1, config.c2, vmax), spec, rng, counter)
-                diversities.append(e)
-                omegas.append(w)
-            for sub in subs:
-                incumbent.offer(sub.global_best_position, sub.global_best_fitness)
-            log(float(np.mean(diversities)), float(np.mean(omegas)), math.nan)
-        phase_log[-1].end_fe = counter.used
-
         # best particle over all sub-swarms seeds the exploitation swarm
-        if counter.remaining < config.exploitation_size:
+        _exploit(run, plan, min(subs, key=lambda sub: sub.global_best_fitness))
+        if run.iteration > plan.total_iterations / 3:
             break
-        seed_pos, seed_fit = subs[0].global_best_position, subs[0].global_best_fitness
-        for sub in subs[1:]:
-            if sub.global_best_fitness < seed_fit:
-                seed_pos, seed_fit = sub.global_best_position, sub.global_best_fitness
-        state.enter(EXPLOITATION)
-        phase_log.append(PhaseSpan(EXPLOITATION, counter.used, counter.used))
-        swarm = spawn_artificial_swarm(
-            seed_pos, seed_fit, config.exploitation_size, spec, rng, counter, EXPLOITATION, vmax
-        )
-        incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
+    if run.counter.remaining >= config.convergence_size and run.best_position is not None:
+        _converge(run, plan)
+    return run.result()
 
-        while state.t < plan.exploitation_cap and counter.remaining >= config.exploitation_size:
-            state.advance()
-            reading = hybrid_diversity(swarm, bounds, config.entropy_bins)
-            omega = omega_standard(reading.hybrid)
-            sigma = sigma_reconstruction(reading.hybrid)
-            partial_reconstruct(swarm, plan.replace_count, sigma, bounds, spec, rng, counter)
-            chosen = rng.permutation(swarm.size)[: swarm.size - plan.replace_count]
-            pso_step(
-                swarm, KinematicParams(omega, config.c1, config.c2, vmax), spec, rng, counter, chosen
-            )
-            state.history.record(swarm.global_best_fitness)
-            er = evolution_rate(state.history)
-            incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
-            log(reading.hybrid, omega, er)
-            if er < config.stagnation_threshold:
-                break
-        phase_log[-1].end_fe = counter.used
 
-        if state.iterations_done > plan.total_iterations / 3:
+def _explore(run: _Run, plan: IterationPlan) -> list[Swarm]:
+    """One exploration block: fresh independent sub-swarms, stepped in turn."""
+    config, counter = run.config, run.counter
+    run.open_phase(EXPLORATION)
+    subs = [
+        initialize_swarm(run.spec, config.sub_swarm_size, run.rng, run.vmax, counter)
+        for _ in range(config.exploration_size // config.sub_swarm_size)
+    ]
+    for sub in subs:
+        run.offer(sub)
+    if not run.trace:
+        run.log(float(np.mean([run.diversity(sub).hybrid for sub in subs])), math.nan, math.nan)
+
+    t = 0
+    while t < plan.exploration_iterations and counter.remaining >= config.exploration_size:
+        t += 1
+        run.iteration += 1
+        diversities, omegas = [], []
+        for sub in subs:
+            e = run.diversity(sub).hybrid
+            w = omega_exploration(e, config.expl_omega_scale, config.expl_omega_rate)
+            pso_step(sub, run.kinematics(w), run.spec, run.rng, counter)
+            diversities.append(e)
+            omegas.append(w)
+        for sub in subs:
+            run.offer(sub)
+        run.log(float(np.mean(diversities)), float(np.mean(omegas)), math.nan)
+    run.close_phase()
+    return subs
+
+
+def _exploit(run: _Run, plan: IterationPlan, seed: Swarm) -> None:
+    """One exploitation block around ``seed``'s best, until it stalls or hits its cap."""
+    config, counter = run.config, run.counter
+    run.open_phase(EXPLOITATION)
+    swarm = run.spawn(seed.global_best_position, seed.global_best_fitness, config.exploitation_size)
+    history = FitnessHistory(window=config.rate_window)
+    t = 0
+    while t < plan.exploitation_cap and counter.remaining >= config.exploitation_size:
+        t += 1
+        run.iteration += 1
+        reading = run.diversity(swarm)
+        omega = omega_standard(reading.hybrid)
+        sigma = sigma_reconstruction(reading.hybrid)
+        partial_reconstruct(swarm, plan.replace_count, sigma, run.bounds, run.spec, run.rng, counter)
+        chosen = run.rng.permutation(swarm.size)[: swarm.size - plan.replace_count]
+        pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
+        history.record(swarm.global_best_fitness)
+        er = evolution_rate(history)
+        run.offer(swarm)
+        run.log(reading.hybrid, omega, er)
+        if er < config.stagnation_threshold:
             break
+    run.close_phase()
 
-    # ---- terminal convergence phase
-    if counter.remaining >= config.convergence_size and incumbent.position is not None:
-        state.enter(CONVERGENCE)
-        phase_log.append(PhaseSpan(CONVERGENCE, counter.used, counter.used))
-        swarm = spawn_artificial_swarm(
-            incumbent.position,
-            incumbent.fitness,
-            config.convergence_size,
-            spec,
-            rng,
-            counter,
-            CONVERGENCE,
-            vmax,
-        )
-        incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
-        while counter.remaining >= config.convergence_size:
-            state.advance()
-            reading = hybrid_diversity(swarm, bounds, config.entropy_bins)
-            omega = omega_standard(reading.hybrid)
-            sigma = sigma_reconstruction(reading.hybrid)
-            state.history.record(swarm.global_best_fitness)
-            er = evolution_rate(state.history)
-            if er < config.stagnation_threshold:
-                state.stagnation.bump()
-            p_rebuild = reconstruct_probability(plan.total_iterations, state.stagnation.count)
-            if rng.uniform() < p_rebuild:
-                full_reconstruct(swarm, sigma, bounds, spec, rng, counter)
-                state.stagnation.reset()
-            else:
-                pso_step(swarm, KinematicParams(omega, config.c1, config.c2, vmax), spec, rng, counter)
-            incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
-            log(reading.hybrid, omega, er)
-        phase_log[-1].end_fe = counter.used
 
-    return RunResult(
-        best_position=incumbent.position,
-        best_error=incumbent.fitness - f_star,
-        fe_used=counter.used,
-        trace=trace,
-        phase_log=phase_log,
-    )
+def _converge(run: _Run, plan: IterationPlan) -> None:
+    """The terminal phase: refine the best-ever solution until the budget runs out."""
+    config, counter = run.config, run.counter
+    run.open_phase(CONVERGENCE)
+    swarm = run.spawn(run.best_position, run.best_fitness, config.convergence_size)
+    history = FitnessHistory(window=config.rate_window)
+    stalled = 0  # stalled iterations since the last full reconstruction
+    while counter.remaining >= config.convergence_size:
+        run.iteration += 1
+        reading = run.diversity(swarm)
+        omega = omega_standard(reading.hybrid)
+        sigma = sigma_reconstruction(reading.hybrid)
+        history.record(swarm.global_best_fitness)
+        er = evolution_rate(history)
+        if er < config.stagnation_threshold:
+            stalled += 1
+        p_rebuild = reconstruct_probability(plan.total_iterations, stalled)
+        if run.rng.uniform() < p_rebuild:
+            full_reconstruct(swarm, sigma, run.bounds, run.spec, run.rng, counter)
+            stalled = 0
+        else:
+            pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
+        run.offer(swarm)
+        run.log(reading.hybrid, omega, er)
+    run.close_phase()
 
 
 def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
@@ -396,52 +383,21 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     handling, budget law and trace contract as the multi-swarm run; the
     diversity column is diagnostic only.
     """
-    config.validate()
-    if seed is None:
-        seed = config.seed
-    rng = RngStream(seed)
-    budget = config.resolved_budget(spec.dimension)
-    counter = EvalCounter(budget=budget)
-    bounds = spec.bounds
-    vmax = config.vmax_factor * bounds.span
-    f_star = spec.optimum_value
-    size = config.convergence_size
-    total_iterations = budget // size
-
-    swarm = initialize_swarm(spec, size, "gpso", rng, vmax, counter)
-    incumbent = _Incumbent()
-    incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
+    run = _Run(config, spec, seed)
+    counter, size = run.counter, config.convergence_size
+    total_iterations = counter.budget // size
+    run.open_phase("gpso")
+    swarm = initialize_swarm(spec, size, run.rng, run.vmax, counter)
+    run.offer(swarm)
     history = FitnessHistory(window=config.rate_window)
-    trace: list[TracePoint] = []
-
-    def log(iteration: int, diversity: float, omega: float, er: float) -> None:
-        trace.append(
-            TracePoint(
-                fe=counter.used,
-                iteration=iteration,
-                phase="gpso",
-                best_error=incumbent.fitness - f_star,
-                diversity=diversity,
-                omega=omega,
-                evolution_rate=er,
-            )
-        )
-
-    log(0, hybrid_diversity(swarm, bounds, config.entropy_bins).hybrid, math.nan, math.nan)
-    t = 0
+    run.log(run.diversity(swarm).hybrid, math.nan, math.nan)
     while counter.remaining >= size:
-        t += 1
-        omega = linear_inertia(t, total_iterations)
-        reading = hybrid_diversity(swarm, bounds, config.entropy_bins)
-        pso_step(swarm, KinematicParams(omega, config.c1, config.c2, vmax), spec, rng, counter)
+        run.iteration += 1
+        omega = linear_inertia(run.iteration, total_iterations)
+        reading = run.diversity(swarm)
+        pso_step(swarm, run.kinematics(omega), spec, run.rng, counter)
         history.record(swarm.global_best_fitness)
-        incumbent.offer(swarm.global_best_position, swarm.global_best_fitness)
-        log(t, reading.hybrid, omega, evolution_rate(history))
-
-    return RunResult(
-        best_position=incumbent.position,
-        best_error=incumbent.fitness - f_star,
-        fe_used=counter.used,
-        trace=trace,
-        phase_log=[PhaseSpan("gpso", 0, counter.used)],
-    )
+        run.offer(swarm)
+        run.log(reading.hybrid, omega, evolution_rate(history))
+    run.close_phase()
+    return run.result()

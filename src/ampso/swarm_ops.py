@@ -7,9 +7,9 @@ time, and rebuilding the whole swarm.  Operators mutate the swarm in
 place, spend evaluations through the shared counter, and keep the swarm's
 global best monotone.
 
-On a budget shortfall each operator applies whatever prefix of the work it
-can afford, then raises :class:`BudgetExhausted` carrying the partial
-count.
+Each operator checks its whole cost before it draws or writes anything: on
+a budget shortfall it raises :class:`BudgetExhausted` having spent nothing
+and left the swarm as it was.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     Bounds,
-    BudgetExhausted,
     EvalCounter,
     ObjectiveSpec,
     RngStream,
@@ -76,41 +75,34 @@ def pso_step(
     block).
     """
     if subset is None:
-        # a slice selects views, so the in-place updates below write through
-        requested = swarm.size
-        sel = slice(0, min(requested, counter.remaining))
+        sel = slice(None)  # a slice selects views, so the in-place updates write through
     else:
-        subset = np.asarray(subset, dtype=np.intp)
-        requested = len(subset)
-        sel = subset[: counter.remaining]
+        sel = np.asarray(subset, dtype=np.intp)
     x = swarm.positions[sel]
-    affordable = len(x)
-    if affordable > 0:
-        v = swarm.velocities[sel]
-        r1, r2 = rng.uniform(size=(2, affordable, swarm.dimension))
-        r1 *= params.c1
-        r1 *= swarm.best_positions[sel] - x
-        r2 *= params.c2
-        r2 *= swarm.global_best_position - x
-        v *= params.omega
-        v += r1
-        v += r2
-        _clip_into(v, -params.vmax, params.vmax)
-        x += v
-        _clip_into(x, spec.bounds.lower, spec.bounds.upper)
-        if subset is not None:  # fancy indexing handed out copies
-            swarm.velocities[sel] = v
-            swarm.positions[sel] = x
-        fitness = evaluate_batch(spec, x, counter)
-        swarm.current_fitness[sel] = fitness
-        # fold the fresh evaluations into the personal and global bests
-        rows = (fitness < swarm.best_fitness[sel]).nonzero()[0]
-        winners = rows if subset is None else sel[rows]
-        swarm.best_positions[winners] = x[rows]
-        swarm.best_fitness[winners] = fitness[rows]
-        swarm.refresh_global_best()
-    if affordable < requested:
-        raise BudgetExhausted("budget exhausted mid-step", consumed=affordable)
+    counter.require(len(x))
+    v = swarm.velocities[sel]
+    r1, r2 = rng.uniform(size=(2, len(x), swarm.dimension))
+    r1 *= params.c1
+    r1 *= swarm.best_positions[sel] - x
+    r2 *= params.c2
+    r2 *= swarm.global_best_position - x
+    v *= params.omega
+    v += r1
+    v += r2
+    _clip_into(v, -params.vmax, params.vmax)
+    x += v
+    _clip_into(x, spec.bounds.lower, spec.bounds.upper)
+    if subset is not None:  # fancy indexing handed out copies
+        swarm.velocities[sel] = v
+        swarm.positions[sel] = x
+    fitness = evaluate_batch(spec, x, counter)
+    swarm.current_fitness[sel] = fitness
+    # fold the fresh evaluations into the personal and global bests
+    rows = (fitness < swarm.best_fitness[sel]).nonzero()[0]
+    winners = rows if subset is None else sel[rows]
+    swarm.best_positions[winners] = x[rows]
+    swarm.best_fitness[winners] = fitness[rows]
+    swarm.refresh_global_best()
 
 
 def spawn_artificial_swarm(
@@ -120,7 +112,6 @@ def spawn_artificial_swarm(
     spec: ObjectiveSpec,
     rng: RngStream,
     counter: EvalCounter,
-    role: str,
     vmax: np.ndarray,
 ) -> Swarm:
     """Generate a swarm by Gaussian perturbation of a known-good position.
@@ -133,35 +124,15 @@ def spawn_artificial_swarm(
     """
     if size < 1:
         raise ValueError("size must be at least 1")
+    counter.require(size)
     bounds = spec.bounds
-    seed_position = np.asarray(seed_position, dtype=float)
-    n = min(size, counter.remaining)
-    positions = rng.normal(0.0, SPAWN_SPREAD, size=(n, spec.dimension))
+    positions = rng.normal(0.0, SPAWN_SPREAD, size=(size, spec.dimension))
     positions *= bounds.span
     positions += seed_position
     _clip_into(positions, bounds.lower, bounds.upper)
-    velocities = rng.uniform(low=-1.0, high=1.0, size=(n, spec.dimension)) * vmax
+    velocities = rng.uniform(low=-1.0, high=1.0, size=(size, spec.dimension)) * vmax
     fitness = evaluate_batch(spec, positions, counter)
-    if n < size:
-        raise BudgetExhausted(
-            f"budget exhausted after spawning {n} of {size} particles", consumed=n
-        )
-
-    best = int(fitness.argmin())
-    if fitness[best] < seed_fitness:
-        gb_position, gb_fitness = positions[best].copy(), float(fitness[best])
-    else:
-        gb_position, gb_fitness = seed_position.copy(), float(seed_fitness)
-    return Swarm(
-        positions=positions,
-        velocities=velocities,
-        best_positions=positions.copy(),
-        best_fitness=fitness.copy(),
-        current_fitness=fitness,
-        global_best_position=gb_position,
-        global_best_fitness=gb_fitness,
-        role=role,
-    )
+    return Swarm.fresh(positions, velocities, fitness, incumbent=(seed_position, seed_fitness))
 
 
 def _install(swarm: Swarm, sel, positions: np.ndarray, fitness: np.ndarray) -> None:
@@ -206,18 +177,14 @@ def partial_reconstruct(
         raise ValueError("sigma must be positive")
 
     idx = _worst_indices(swarm.current_fitness, n_worst)
-    affordable = min(n_worst, counter.remaining)
-    idx = idx[:affordable]
-    if affordable > 0:
-        dims = rng.integers(0, swarm.dimension, size=affordable)
-        r = rng.normal(0.0, sigma, size=affordable)
-        positions = np.empty((affordable, swarm.dimension))
-        positions[:] = swarm.global_best_position
-        positions[np.arange(affordable), dims] += bounds.span[dims] * r
-        _clip_into(positions, bounds.lower, bounds.upper)
-        _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
-    if affordable < n_worst:
-        raise BudgetExhausted("budget exhausted mid-reconstruction", consumed=affordable)
+    counter.require(n_worst)
+    dims = rng.integers(0, swarm.dimension, size=n_worst)
+    r = rng.normal(0.0, sigma, size=n_worst)
+    positions = np.empty((n_worst, swarm.dimension))
+    positions[:] = swarm.global_best_position
+    positions[np.arange(n_worst), dims] += bounds.span[dims] * r
+    _clip_into(positions, bounds.lower, bounds.upper)
+    _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
 
 
 def full_reconstruct(
@@ -238,13 +205,9 @@ def full_reconstruct(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    n = swarm.size
-    affordable = min(n, counter.remaining)
-    if affordable > 0:
-        positions = rng.normal(0.0, sigma, size=(affordable, swarm.dimension))
-        positions *= bounds.span
-        positions += swarm.global_best_position
-        _clip_into(positions, bounds.lower, bounds.upper)
-        _install(swarm, slice(0, affordable), positions, evaluate_batch(spec, positions, counter))
-    if affordable < n:
-        raise BudgetExhausted("budget exhausted mid-reconstruction", consumed=affordable)
+    counter.require(swarm.size)
+    positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
+    positions *= bounds.span
+    positions += swarm.global_best_position
+    _clip_into(positions, bounds.lower, bounds.upper)
+    _install(swarm, slice(None), positions, evaluate_batch(spec, positions, counter))

@@ -3,7 +3,7 @@ import numpy as np
 from ampso.core import Swarm
 
 
-def build_swarm(positions, current_fitness=None, role="exploitation") -> Swarm:
+def build_swarm(positions, current_fitness=None) -> Swarm:
     """Swarm with consistent state from a position block (tests only)."""
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
@@ -19,7 +19,6 @@ def build_swarm(positions, current_fitness=None, role="exploitation") -> Swarm:
         current_fitness=current_fitness.copy(),
         global_best_position=positions[best].copy(),
         global_best_fitness=float(current_fitness[best]),
-        role=role,
     )
 
 

@@ -156,7 +156,7 @@ def test_criterion_05_gaussian_scaling():
     # spawn spread is pinned at 0.1
     counter = EvalCounter(budget=10_001)
     swarm = spawn_artificial_swarm(
-        np.zeros(10), 0.0, 10_000, spec, RngStream(1), counter, "exploitation", 0.01 * spec.bounds.span
+        np.zeros(10), 0.0, 10_000, spec, RngStream(1), counter, 0.01 * spec.bounds.span
     )
     ok &= abs(swarm.positions.std() - 0.1 * span) / (0.1 * span) <= 0.05
 

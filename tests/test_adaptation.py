@@ -5,7 +5,6 @@ import pytest
 
 from ampso.adaptation import (
     FitnessHistory,
-    StagnationCounter,
     evolution_rate,
     linear_inertia,
     omega_exploration,
@@ -161,12 +160,3 @@ class TestLinearInertia:
     def test_clamped_past_total(self):
         assert linear_inertia(3000, 2500) == pytest.approx(0.4, abs=1e-15)
 
-
-class TestStagnationCounter:
-    def test_bump_and_reset(self):
-        counter = StagnationCounter()
-        for _ in range(3):
-            counter.bump()
-        assert counter.count == 3
-        counter.reset()
-        assert counter.count == 0

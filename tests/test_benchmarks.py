@@ -5,8 +5,6 @@ from scipy.optimize import minimize_scalar
 from ampso.benchmarks import (
     REGISTRY,
     UnknownFunctionError,
-    compose_transform,
-    eval_registry_function,
     get_entry,
     make_spec,
     random_rotation,
@@ -21,30 +19,30 @@ class TestRegistryValues:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_optimum_reproduced(self, name, dim):
         entry = get_entry(name)
-        value = eval_registry_function(name, entry.optimum_position(dim))
+        value = entry.function(entry.optimum_position(dim))
         assert abs(value - entry.optimum_value) <= 1e-9
 
     def test_sphere_zero(self):
-        assert eval_registry_function("sphere", np.zeros(13)) == 0.0
+        assert REGISTRY["sphere"].function(np.zeros(13)) == 0.0
 
     def test_ackley_zero(self):
-        assert abs(eval_registry_function("ackley", np.zeros(10))) <= 1e-12
+        assert abs(REGISTRY["ackley"].function(np.zeros(10))) <= 1e-12
 
     def test_griewank_scratch_value(self):
-        value = eval_registry_function("griewank", np.array([np.pi, np.pi]))
+        value = REGISTRY["griewank"].function(np.array([np.pi, np.pi]))
         assert value == pytest.approx(GRIEWANK_AT_PI_PI, abs=1e-12)
 
     def test_rosenbrock_at_ones(self):
-        assert eval_registry_function("rosenbrock", np.ones(6)) == 0.0
+        assert REGISTRY["rosenbrock"].function(np.ones(6)) == 0.0
 
     def test_rastrigin_hand_value(self):
-        assert eval_registry_function("rastrigin", np.array([1.0, 0.0, 0.0])) == pytest.approx(
+        assert REGISTRY["rastrigin"].function(np.array([1.0, 0.0, 0.0])) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_schwefel_error_form_near_conventional_optimum(self):
         # four-decimal coordinate from the common tables
-        value = eval_registry_function("schwefel_226", np.full(10, 420.9687))
+        value = REGISTRY["schwefel_226"].function(np.full(10, 420.9687))
         assert abs(value) <= 1e-3
 
     def test_schwefel_constant_against_minimization_oracle(self):
@@ -61,7 +59,7 @@ class TestRegistryValues:
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(UnknownFunctionError) as err:
-            eval_registry_function("nosuch", np.zeros(2))
+            make_spec("nosuch", 2)
         for name in REGISTRY:
             assert name in str(err.value)
 
@@ -69,8 +67,8 @@ class TestRegistryValues:
         rng = np.random.default_rng(0)
         block = rng.uniform(-5, 5, size=(50, 4))
         for name in REGISTRY:
-            batched = eval_registry_function(name, block)
-            rowwise = np.array([eval_registry_function(name, row) for row in block])
+            batched = REGISTRY[name].function(block)
+            rowwise = np.array([REGISTRY[name].function(row) for row in block])
             assert np.array_equal(batched, rowwise)
 
 
@@ -86,17 +84,19 @@ class TestErrorFormNonNegativity:
 
 
 class TestComposeTransform:
+    """Shift and rotation composed by make_spec: f(rotation @ (x - shift))."""
+
     def test_identity_transform_matches_raw(self):
         rng = np.random.default_rng(1)
-        spec = compose_transform("rastrigin", np.zeros(5), np.eye(5))
+        spec = make_spec("rastrigin", 5, shift=np.zeros(5), rotation=np.eye(5))
         x = rng.uniform(-100, 100, size=(100, 5))
-        raw = eval_registry_function("rastrigin", x)
+        raw = REGISTRY["rastrigin"].function(x)
         transformed = spec.function(spec.transform(x))
         assert np.max(np.abs(raw - transformed)) <= 1e-12
 
     def test_shift_moves_optimum(self):
         shift = np.array([3.0, -7.0, 11.0])
-        spec = compose_transform("ackley", shift)
+        spec = make_spec("ackley", 3, shift=shift)
         value = spec.function(spec.transform(shift[None, :]))[0]
         assert abs(value - spec.optimum_value) <= 1e-9
 
@@ -104,7 +104,7 @@ class TestComposeTransform:
         rng = np.random.default_rng(2)
         shift = rng.uniform(-50, 50, size=8)
         rotation = random_rotation(8, rng)
-        spec = compose_transform("rastrigin", shift, rotation)
+        spec = make_spec("rastrigin", 8, shift=shift, rotation=rotation)
         value = spec.function(spec.transform(shift[None, :]))[0]
         assert abs(value - spec.optimum_value) <= 1e-9
 
@@ -112,8 +112,8 @@ class TestComposeTransform:
         rng = np.random.default_rng(3)
         shift = rng.uniform(-10, 10, size=6)
         rotation = random_rotation(6, rng)
-        rotated = compose_transform("sphere", shift, rotation)
-        plain = compose_transform("sphere", shift)
+        rotated = make_spec("sphere", 6, shift=shift, rotation=rotation)
+        plain = make_spec("sphere", 6, shift=shift)
         x = rng.uniform(-100, 100, size=(1000, 6))
         a = rotated.function(rotated.transform(x))
         b = plain.function(plain.transform(x))
@@ -121,7 +121,7 @@ class TestComposeTransform:
 
     def test_non_orthogonal_rotation_rejected(self):
         with pytest.raises(ValueError):
-            compose_transform("sphere", np.zeros(3), np.ones((3, 3)))
+            make_spec("sphere", 3, shift=np.zeros(3), rotation=np.ones((3, 3)))
 
     def test_random_rotations_are_orthogonal(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from ampso import harness
 from ampso.cli import main
 
 
@@ -50,6 +51,27 @@ class TestRunCommand:
         assert code == 2
         assert "gpso" in err
 
+    def test_unknown_algorithm_in_list_named(self, capsys):
+        code, _, err = run_cli(["bench", "--algo", "ampso,nope"] + BUDGET_ARGS, capsys)
+        assert code == 2
+        assert "'nope'" in err and "'ampso,nope'" not in err
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, command, seed):
+        path = tmp_path / "trace.csv"
+        argv = [command, "--function", "sphere", "--dim", "2", "--seed", seed, "--out", str(path)]
+        code, out, err = run_cli(argv + ["--fe-budget", "100"], capsys)
+        assert code == 2
+        assert "64-bit" in err
+        assert not out and not path.exists()
+
+    @pytest.mark.parametrize("algo", ["ampso", "gpso"])
+    def test_budget_below_first_swarm_exits_2(self, capsys, algo):
+        code, out, err = run_cli(["run", "--algo", algo, "--fe-budget", "25"], capsys)
+        assert code == 2
+        assert "fe_budget" in err and not out
+
     def test_gpso_selectable(self, capsys):
         code, out, _ = run_cli(
             ["run", "--algo", "gpso", "--function", "sphere", "--dim", "2"] + BUDGET_ARGS, capsys
@@ -87,6 +109,21 @@ class TestConfigHandling:
         assert code == 0
         fe_used = int(out.rsplit("fe_used=", 1)[1])
         assert fe_used <= 1200
+
+    @pytest.mark.parametrize(
+        "name, raw", [("ENTROPY_BINS", "12.5"), ("FE_BUDGET", "abc"), ("RATE_WINDOW", "true"), ("C1", "nan")]
+    )
+    def test_mistyped_env_value_exits_2(self, capsys, monkeypatch, name, raw):
+        monkeypatch.setenv("AMPSO_" + name, raw)
+        code, _, err = run_cli(["run", "--function", "sphere", "--dim", "2"], capsys)
+        assert code == 2
+        assert name.lower() in err
+
+    def test_env_values_read_as_json_scalars(self, capsys, monkeypatch):
+        monkeypatch.setenv("AMPSO_C1", "1.5")
+        monkeypatch.setenv("AMPSO_ENTROPY_BINS", "12")
+        code, _, _ = run_cli(["run", "--function", "sphere", "--dim", "2"] + BUDGET_ARGS, capsys)
+        assert code == 0
 
     def test_invalid_config_value_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -252,6 +289,16 @@ class TestBenchCommand:
         assert not (tmp_path / "b").exists()
         code, _, _ = run_cli(args + ["--seed", str(2**64 - 2)] + BUDGET_ARGS, capsys)
         assert code == 0
+
+    def test_failed_run_reason_printed(self, tmp_path, capsys, monkeypatch):
+        def crash(config, spec, seed=None):
+            raise RuntimeError("objective blew up")
+
+        monkeypatch.setitem(harness.ALGORITHMS, "gpso", crash)
+        args = ["bench", "--algo", "gpso", "--function", "sphere", "--dim", "2", "--runs", "2", "--seed", "3"]
+        code, out, _ = run_cli(args + ["--out", str(tmp_path / "b")] + BUDGET_ARGS, capsys)
+        assert code == 1
+        assert "FAILED (run 0 (seed 3) failed: RuntimeError: objective blew up)" in out
 
     def test_campaign_reproducibility(self, tmp_path, capsys):
         args = [

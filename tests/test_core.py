@@ -6,12 +6,18 @@ from ampso.core import (
     BudgetExhausted,
     EvalCounter,
     RngStream,
-    clamp_to_bounds,
-    evaluate,
     evaluate_batch,
     initialize_swarm,
 )
 from ampso.benchmarks import make_spec
+from ampso.swarm_ops import _clip_into
+
+
+def clipped(position, bounds: Bounds) -> np.ndarray:
+    """A copy of ``position`` clipped the way every operator clips in place."""
+    out = np.array(position, dtype=float)
+    _clip_into(out, bounds.lower, bounds.upper)
+    return out
 
 
 class TestBounds:
@@ -38,57 +44,61 @@ class TestBounds:
 class TestClampToBounds:
     def test_clips_outliers(self):
         bounds = Bounds.cube(-100.0, 100.0, 2)
-        assert np.array_equal(clamp_to_bounds([150.0, -150.0], bounds), [100.0, -100.0])
+        assert np.array_equal(clipped([150.0, -150.0], bounds), [100.0, -100.0])
 
     def test_identity_inside(self):
         bounds = Bounds.cube(-100.0, 100.0, 2)
-        assert np.array_equal(clamp_to_bounds([0.0, 50.0], bounds), [0.0, 50.0])
+        assert np.array_equal(clipped([0.0, 50.0], bounds), [0.0, 50.0])
 
     def test_boundary_fixed_point(self):
         bounds = Bounds.cube(-100.0, 100.0, 2)
-        assert np.array_equal(clamp_to_bounds([100.0, 100.0], bounds), [100.0, 100.0])
+        assert np.array_equal(clipped([100.0, 100.0], bounds), [100.0, 100.0])
 
     def test_idempotent_on_random_inputs(self):
         bounds = Bounds(np.array([-3.0, 0.0, 10.0]), np.array([1.0, 2.0, 11.0]))
         rng = np.random.default_rng(0)
         x = rng.uniform(-50, 50, size=(10_000, 3))
-        once = clamp_to_bounds(x, bounds)
-        assert np.array_equal(clamp_to_bounds(once, bounds), once)
+        once = clipped(x, bounds)
+        assert np.array_equal(clipped(once, bounds), once)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            clamp_to_bounds([1.0, 2.0, 3.0], Bounds.cube(0.0, 1.0, 2))
+            clipped([1.0, 2.0, 3.0], Bounds.cube(0.0, 1.0, 2))
 
 
 class TestEvaluate:
     def test_sphere_optimum(self):
         spec = make_spec("sphere", 10)
         counter = EvalCounter(budget=10)
-        assert evaluate(spec, np.zeros(10), counter) == 0.0
+        assert evaluate_batch(spec, np.zeros((1, 10)), counter)[0] == 0.0
         assert counter.used == 1
 
     def test_shifted_optimum(self):
         spec = make_spec("sphere", 2, shift=np.array([1.0, 1.0]))
         counter = EvalCounter(budget=10)
-        assert evaluate(spec, np.array([1.0, 1.0]), counter) == 0.0
+        assert evaluate_batch(spec, np.array([[1.0, 1.0]]), counter)[0] == 0.0
 
     def test_rastrigin_hand_value(self):
         # per-dimension term x^2 - 10 cos(2 pi x) + 10 equals 1 at x = 1
         spec = make_spec("rastrigin", 3)
         counter = EvalCounter(budget=10)
-        assert evaluate(spec, np.array([1.0, 0.0, 0.0]), counter) == pytest.approx(1.0, abs=1e-12)
+        value = evaluate_batch(spec, np.array([[1.0, 0.0, 0.0]]), counter)[0]
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch_is_hard_error(self):
         spec = make_spec("sphere", 3)
         with pytest.raises(ValueError):
-            evaluate(spec, np.zeros(4), EvalCounter(budget=10))
+            evaluate_batch(spec, np.zeros((2, 4)), EvalCounter(budget=10))
+        with pytest.raises(ValueError):
+            evaluate_batch(spec, np.zeros(3), EvalCounter(budget=10))
 
     def test_budget_exhaustion_signalled(self):
         spec = make_spec("sphere", 2)
-        counter = EvalCounter(budget=1)
-        evaluate(spec, np.zeros(2), counter)
+        counter = EvalCounter(budget=3)
+        evaluate_batch(spec, np.zeros((2, 2)), counter)
         with pytest.raises(BudgetExhausted):
-            evaluate(spec, np.zeros(2), counter)
+            evaluate_batch(spec, np.zeros((2, 2)), counter)
+        assert counter.used == 2
 
     def test_counter_matches_objective_calls(self):
         spec = make_spec("sphere", 4)
@@ -96,13 +106,13 @@ class TestEvaluate:
         inner = spec.function
 
         def spy(block):
-            calls["rows"] += block.shape[0] if block.ndim == 2 else 1
+            calls["rows"] += block.shape[0]
             return inner(block)
 
         spec.function = spy
         counter = EvalCounter(budget=100)
         for _ in range(5):
-            evaluate(spec, np.ones(4), counter)
+            evaluate_batch(spec, np.ones((1, 4)), counter)
         evaluate_batch(spec, np.zeros((7, 4)), counter)
         assert counter.used == calls["rows"] == 12
 
@@ -159,7 +169,7 @@ class TestInitializeSwarm:
         spec = make_spec("sphere", 10)
         counter = EvalCounter(budget=1000)
         vmax = 0.01 * spec.bounds.span
-        swarm = initialize_swarm(spec, 40, "exploration-sub", RngStream(0), vmax, counter)
+        swarm = initialize_swarm(spec, 40, RngStream(0), vmax, counter)
         assert swarm.positions.shape == (40, 10)
         assert np.all(swarm.positions >= -100.0) and np.all(swarm.positions <= 100.0)
         assert np.all(np.abs(swarm.velocities) <= vmax)
@@ -168,7 +178,7 @@ class TestInitializeSwarm:
     def test_bests_start_at_positions(self):
         spec = make_spec("rastrigin", 5)
         counter = EvalCounter(budget=100)
-        swarm = initialize_swarm(spec, 8, "exploitation", RngStream(3), 0.01 * spec.bounds.span, counter)
+        swarm = initialize_swarm(spec, 8, RngStream(3), 0.01 * spec.bounds.span, counter)
         assert np.array_equal(swarm.best_positions, swarm.positions)
         assert np.array_equal(swarm.best_fitness, swarm.current_fitness)
         assert swarm.global_best_fitness == swarm.best_fitness.min()
@@ -178,30 +188,29 @@ class TestInitializeSwarm:
     def test_reevaluation_consistency(self):
         spec = make_spec("ackley", 6)
         counter = EvalCounter(budget=100)
-        swarm = initialize_swarm(spec, 10, "exploitation", RngStream(5), 0.01 * spec.bounds.span, counter)
-        for i in range(swarm.size):
-            p = swarm.particle(i)
-            again = evaluate(spec, p.best_position, EvalCounter(budget=1))
-            assert again == p.best_fitness
+        swarm = initialize_swarm(spec, 10, RngStream(5), 0.01 * spec.bounds.span, counter)
+        again = evaluate_batch(spec, swarm.best_positions, EvalCounter(budget=swarm.size))
+        assert np.array_equal(again, swarm.best_fitness)
 
     def test_seed_determinism(self):
         spec = make_spec("griewank", 7)
         vmax = 0.01 * spec.bounds.span
-        a = initialize_swarm(spec, 12, "exploitation", RngStream(42), vmax, EvalCounter(budget=50))
-        b = initialize_swarm(spec, 12, "exploitation", RngStream(42), vmax, EvalCounter(budget=50))
+        a = initialize_swarm(spec, 12, RngStream(42), vmax, EvalCounter(budget=50))
+        b = initialize_swarm(spec, 12, RngStream(42), vmax, EvalCounter(budget=50))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.current_fitness, b.current_fitness)
 
-    def test_budget_exhaustion_reports_partial_count(self):
+    def test_budget_shortfall_spends_nothing(self):
         spec = make_spec("sphere", 4)
         counter = EvalCounter(budget=25)
-        with pytest.raises(BudgetExhausted) as err:
-            initialize_swarm(spec, 40, "exploitation", RngStream(0), 0.01 * spec.bounds.span, counter)
-        assert err.value.consumed == 25
-        assert counter.used == 25
+        rng = RngStream(0)
+        with pytest.raises(BudgetExhausted):
+            initialize_swarm(spec, 40, rng, 0.01 * spec.bounds.span, counter)
+        assert counter.used == 0
+        assert np.array_equal(rng.uniform(size=4), RngStream(0).uniform(size=4))
 
     def test_size_must_be_positive(self):
         spec = make_spec("sphere", 2)
         with pytest.raises(ValueError):
-            initialize_swarm(spec, 0, "exploitation", RngStream(0), 0.01 * spec.bounds.span, EvalCounter(budget=10))
+            initialize_swarm(spec, 0, RngStream(0), 0.01 * spec.bounds.span, EvalCounter(budget=10))

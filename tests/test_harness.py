@@ -145,12 +145,21 @@ class TestCampaign:
             summary = json.load(handle, parse_constant=reject)
         ok, failed = summary["cells"]
         assert "error" not in ok and math.isfinite(ok["mean"])
-        assert failed["error"]
+        assert "objective blew up" in failed["error"]
+        assert failed["error"] == "run 0 (seed 0) failed: RuntimeError: objective blew up"
         assert [failed[k] for k in ("mean", "std", "best", "worst", "median")] == [None] * 5
+        with open(paths["runs"]) as handle:
+            assert next(csv.reader(handle)) == ["algorithm", "function", "dim", "run", "seed", "best_error", "fe_used"]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(algorithms=("simulated-annealing",)).validate()
+
+    def test_unknown_function_rejected(self):
+        with pytest.raises(ValueError, match="'nosuch'"):
+            CampaignSpec(functions=("nosuch",)).validate()
+        with pytest.raises(ValueError, match="'nosuch'"):
+            run_campaign(CampaignSpec(functions=("sphere", "nosuch"), config=TINY))
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from ampso.optimizer import (
     EXPLORATION,
     AmpsoConfig,
     ConfigError,
-    PhaseState,
     run_ampso,
     run_gpso,
 )
@@ -74,6 +73,18 @@ class TestConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             AmpsoConfig().with_overrides(bogus=1)
+
+    @pytest.mark.parametrize("run, budget", [(run_ampso, 5), (run_gpso, 25)])
+    def test_budget_below_first_swarm_rejected(self, run, budget):
+        spec = make_spec("sphere", 3)
+        with pytest.raises(ConfigError, match="fe_budget"):
+            run(AmpsoConfig(fe_budget=budget), spec, seed=0)
+        floor = max(AmpsoConfig().exploration_size, AmpsoConfig().convergence_size)
+        with pytest.raises(ConfigError, match="fe_budget"):
+            AmpsoConfig(fe_budget=floor - 1).validate()
+        result = run(AmpsoConfig(fe_budget=floor), spec, seed=0)
+        assert 0 < result.fe_used <= floor
+        assert math.isfinite(result.best_error) and result.trace
 
     def test_invalid_config_rejected_before_any_evaluation(self):
         spec = make_spec("sphere", 3)
@@ -212,19 +223,21 @@ class TestRunAmpso:
         assert np.array_equal(a.best_position, b.best_position)
 
 
-class TestPhaseState:
-    def test_phase_boundary_resets_swarm_local_counters(self):
-        state = PhaseState(EXPLORATION, window=50)
-        for _ in range(5):
-            state.advance()
-        state.history.record(1.0)
-        state.stagnation.bump()
-        state.enter(EXPLOITATION)
-        assert state.phase == EXPLOITATION
-        assert state.t == 0
-        assert state.history.iteration == 0
-        assert state.stagnation.count == 0
-        assert state.iterations_done == 5  # survives the boundary
+class TestPhaseBoundaries:
+    def test_phase_boundary_resets_swarm_local_counters(self, small_run):
+        _, _, result = small_run
+        # the run's iteration count survives every boundary: one row per iteration
+        assert [p.iteration for p in result.trace] == list(range(len(result.trace)))
+        # each exploitation and convergence swarm starts a fresh fitness history,
+        # whose first evolution rate is 1
+        firsts = 0
+        for span in result.phase_log:
+            rows = [p for p in result.trace if span.start_fe < p.fe <= span.end_fe]
+            if span.phase != EXPLORATION and rows:
+                assert rows[0].phase == span.phase
+                assert rows[0].evolution_rate == 1.0
+                firsts += 1
+        assert firsts >= 2
 
 
 class TestRunGpso:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampso.core import Bounds, BudgetExhausted, EvalCounter, RngStream, evaluate, initialize_swarm
+from ampso.core import Bounds, BudgetExhausted, EvalCounter, RngStream, evaluate_batch, initialize_swarm
 from ampso.benchmarks import make_spec
 from ampso.swarm_ops import (
     KinematicParams,
@@ -54,7 +54,7 @@ class TestPsoStep:
     def test_subset_accounting_and_isolation(self):
         spec = sphere_spec(5)
         rng = RngStream(1)
-        swarm = initialize_swarm(spec, 10, "exploitation", rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
+        swarm = initialize_swarm(spec, 10, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         frozen = swarm.positions[[0, 2, 9]].copy()
         counter = EvalCounter(budget=100)
         pso_step(swarm, params_for(spec), spec, rng, counter, subset=np.array([1, 3, 4, 5, 6, 7, 8]))
@@ -66,25 +66,25 @@ class TestPsoStep:
         swarm = build_swarm(np.array([[10.0, 10.0], [50.0, 50.0]]), current_fitness=np.array([200.0, 5000.0]))
         counter = EvalCounter(budget=10)
         pso_step(swarm, params_for(spec, omega=0.0), spec, RngStream(2), counter)
-        for i in range(2):
-            p = swarm.particle(i)
-            assert p.best_fitness <= p.current_fitness
-            assert evaluate(spec, p.best_position, EvalCounter(budget=1)) == p.best_fitness
+        assert np.all(swarm.best_fitness <= swarm.current_fitness)
+        assert np.array_equal(evaluate_batch(spec, swarm.best_positions, EvalCounter(budget=2)), swarm.best_fitness)
         assert swarm.global_best_fitness == swarm.best_fitness.min()
 
     def test_budget_exhaustion_mid_step(self):
         spec = sphere_spec(3)
         swarm = build_swarm(np.ones((6, 3)), current_fitness=np.full(6, 3.0))
+        before = copy.deepcopy(swarm)
         counter = EvalCounter(budget=4)
-        with pytest.raises(BudgetExhausted) as err:
+        with pytest.raises(BudgetExhausted):
             pso_step(swarm, params_for(spec), spec, RngStream(3), counter)
-        assert err.value.consumed == 4
-        assert counter.used == 4
+        assert counter.used == 0
+        assert np.array_equal(swarm.positions, before.positions)
+        assert np.array_equal(swarm.velocities, before.velocities)
 
     def test_positions_stay_in_bounds(self):
         spec = sphere_spec(4, low=-1.0, high=1.0)
         rng = RngStream(4)
-        swarm = initialize_swarm(spec, 20, "exploitation", rng, 0.5 * spec.bounds.span, EvalCounter(budget=2000))
+        swarm = initialize_swarm(spec, 20, rng, 0.5 * spec.bounds.span, EvalCounter(budget=2000))
         counter = EvalCounter(budget=2000)
         for _ in range(50):
             pso_step(swarm, KinematicParams(0.9, 2.0, 2.0, 0.5 * spec.bounds.span), spec, rng, counter)
@@ -98,7 +98,7 @@ class TestSpawnArtificialSwarm:
         seed_pos = np.array([5.0, -5.0, 0.0])
         counter = EvalCounter(budget=10)
         swarm = spawn_artificial_swarm(
-            seed_pos, 50.0, 6, spec, StubRng(normal_value=0.0), counter, "exploitation", 0.01 * spec.bounds.span
+            seed_pos, 50.0, 6, spec, StubRng(normal_value=0.0), counter, 0.01 * spec.bounds.span
         )
         assert np.allclose(swarm.positions, seed_pos)
         assert counter.used == 6
@@ -107,7 +107,7 @@ class TestSpawnArtificialSwarm:
         spec = sphere_spec(2)
         counter = EvalCounter(budget=5)
         swarm = spawn_artificial_swarm(
-            np.zeros(2), 0.0, 1, spec, StubRng(normal_value=0.5), counter, "exploitation", 0.01 * spec.bounds.span
+            np.zeros(2), 0.0, 1, spec, StubRng(normal_value=0.5), counter, 0.01 * spec.bounds.span
         )
         # offset draw of 0.05 in sigma units: 200 * 0.05 = 10
         assert np.allclose(swarm.positions[0], 200.0 * 0.05)
@@ -116,7 +116,7 @@ class TestSpawnArtificialSwarm:
         spec = sphere_spec(2)
         counter = EvalCounter(budget=20)
         swarm = spawn_artificial_swarm(
-            np.zeros(2), 0.0, 10, spec, RngStream(5), counter, "convergence", 0.01 * spec.bounds.span
+            np.zeros(2), 0.0, 10, spec, RngStream(5), counter, 0.01 * spec.bounds.span
         )
         assert swarm.global_best_fitness == 0.0
         assert np.array_equal(swarm.global_best_position, np.zeros(2))
@@ -125,7 +125,7 @@ class TestSpawnArtificialSwarm:
         spec = sphere_spec(2)
         counter = EvalCounter(budget=20)
         swarm = spawn_artificial_swarm(
-            np.full(2, 10.0), 200.0, 10, spec, RngStream(6), counter, "exploitation", 0.01 * spec.bounds.span
+            np.full(2, 10.0), 200.0, 10, spec, RngStream(6), counter, 0.01 * spec.bounds.span
         )
         assert swarm.global_best_fitness == swarm.best_fitness.min()
         assert swarm.global_best_fitness < 200.0
@@ -134,7 +134,7 @@ class TestSpawnArtificialSwarm:
         spec = sphere_spec(10)
         counter = EvalCounter(budget=200_000)
         swarm = spawn_artificial_swarm(
-            np.zeros(10), 0.0, 10_000, spec, RngStream(7), counter, "exploitation", 0.01 * spec.bounds.span
+            np.zeros(10), 0.0, 10_000, spec, RngStream(7), counter, 0.01 * spec.bounds.span
         )
         offsets = swarm.positions.ravel()
         assert offsets.mean() == pytest.approx(0.0, abs=0.25)
@@ -143,11 +143,11 @@ class TestSpawnArtificialSwarm:
     def test_budget_exhaustion_rejects_partial_swarm(self):
         spec = sphere_spec(2)
         counter = EvalCounter(budget=3)
-        with pytest.raises(BudgetExhausted) as err:
+        with pytest.raises(BudgetExhausted):
             spawn_artificial_swarm(
-                np.zeros(2), 0.0, 8, spec, RngStream(8), counter, "exploitation", 0.01 * spec.bounds.span
+                np.zeros(2), 0.0, 8, spec, RngStream(8), counter, 0.01 * spec.bounds.span
             )
-        assert err.value.consumed == 3
+        assert counter.used == 0
 
 
 class TestPartialReconstruct:
@@ -175,7 +175,7 @@ class TestPartialReconstruct:
     def test_exactly_n_worst_change_identity(self):
         spec = sphere_spec(4)
         rng = RngStream(9)
-        swarm = initialize_swarm(spec, 10, "exploitation", rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
+        swarm = initialize_swarm(spec, 10, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         worst = np.argsort(-swarm.current_fitness, kind="stable")[:3]
         keep = np.setdiff1d(np.arange(10), worst)
         before = swarm.positions[keep].copy()
@@ -197,7 +197,7 @@ class TestPartialReconstruct:
     def test_global_best_never_worsens(self):
         spec = sphere_spec(3)
         rng = RngStream(10)
-        swarm = initialize_swarm(spec, 8, "exploitation", rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
+        swarm = initialize_swarm(spec, 8, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         best_before = swarm.global_best_fitness
         partial_reconstruct(swarm, 4, 0.2, spec.bounds, spec, rng, EvalCounter(budget=100))
         assert swarm.global_best_fitness <= best_before
@@ -213,7 +213,7 @@ class TestFullReconstruct:
     def test_zero_sigma_limit_collapses_everything(self):
         spec = sphere_spec(3)
         rng = RngStream(11)
-        swarm = initialize_swarm(spec, 6, "convergence", rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
+        swarm = initialize_swarm(spec, 6, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         best = swarm.global_best_position.copy()
         full_reconstruct(swarm, 1e-300, spec.bounds, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
         assert np.allclose(swarm.positions, best)
@@ -222,7 +222,7 @@ class TestFullReconstruct:
     def test_retained_best_property(self):
         spec = sphere_spec(4)
         rng = RngStream(12)
-        swarm = initialize_swarm(spec, 10, "convergence", rng, 0.01 * spec.bounds.span, EvalCounter(budget=200))
+        swarm = initialize_swarm(spec, 10, rng, 0.01 * spec.bounds.span, EvalCounter(budget=200))
         best_before = swarm.global_best_fitness
         full_reconstruct(swarm, 0.2, spec.bounds, spec, rng, EvalCounter(budget=200))
         assert swarm.global_best_fitness <= best_before
@@ -246,7 +246,7 @@ class TestOperatorInvariants:
         # rebuilding n_s and stepping size - n_s costs exactly `size`
         spec = sphere_spec(5)
         rng = RngStream(15)
-        swarm = initialize_swarm(spec, 40, "exploitation", rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
+        swarm = initialize_swarm(spec, 40, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         counter = EvalCounter(budget=1000)
         n_s = 10
         partial_reconstruct(swarm, n_s, 0.15, spec.bounds, spec, rng, counter)
@@ -259,7 +259,7 @@ class TestOperatorInvariants:
         rng = RngStream(16)
         counter = EvalCounter(budget=100_000)
         vmax = 0.01 * spec.bounds.span
-        swarm = initialize_swarm(spec, 12, "exploitation", rng, vmax, counter)
+        swarm = initialize_swarm(spec, 12, rng, vmax, counter)
         best = swarm.global_best_fitness
         for round_index in range(100):
             action = round_index % 4
@@ -277,7 +277,6 @@ class TestOperatorInvariants:
                     spec,
                     rng,
                     counter,
-                    "exploitation",
                     vmax,
                 )
             assert swarm.global_best_fitness <= best + 1e-15
@@ -290,9 +289,9 @@ class TestOperatorInvariants:
         # trajectory when its own draws are identical
         spec = make_spec("ackley", 3)
         vmax = 0.01 * spec.bounds.span
-        swarm_a1 = initialize_swarm(spec, 5, "exploration-sub", RngStream(21), vmax, EvalCounter(budget=50))
-        swarm_a2 = initialize_swarm(spec, 5, "exploration-sub", RngStream(21), vmax, EvalCounter(budget=50))
-        swarm_b = initialize_swarm(spec, 5, "exploration-sub", RngStream(22), vmax, EvalCounter(budget=50))
+        swarm_a1 = initialize_swarm(spec, 5, RngStream(21), vmax, EvalCounter(budget=50))
+        swarm_a2 = initialize_swarm(spec, 5, RngStream(21), vmax, EvalCounter(budget=50))
+        swarm_b = initialize_swarm(spec, 5, RngStream(22), vmax, EvalCounter(budget=50))
         rng_a1, rng_a2, rng_b = RngStream(31), RngStream(31), RngStream(32)
         for _ in range(20):
             pso_step(swarm_a1, params_for(spec, omega=0.7), spec, rng_a1, EvalCounter(budget=50))
@@ -313,7 +312,7 @@ class TestPsoStepPaths:
     def test_whole_swarm_equals_full_subset(self, n, d, seed, steps):
         spec = make_spec("rastrigin", d)
         vmax = 0.01 * spec.bounds.span
-        base = initialize_swarm(spec, n, "exploitation", RngStream(seed), vmax, EvalCounter(budget=n))
+        base = initialize_swarm(spec, n, RngStream(seed), vmax, EvalCounter(budget=n))
         whole, listed = copy.deepcopy(base), copy.deepcopy(base)
         rng_whole, rng_listed = RngStream(seed + 1), RngStream(seed + 1)
         counter_whole, counter_listed = EvalCounter(budget=10 * n), EvalCounter(budget=10 * n)
@@ -332,7 +331,7 @@ class TestPsoStepPaths:
         # reference: r1 block then r2 block, v and x clipped with np.clip
         spec = make_spec("rastrigin", 10)
         vmax = 0.01 * spec.bounds.span
-        swarm = initialize_swarm(spec, 40, "exploitation", RngStream(8), vmax, EvalCounter(budget=40))
+        swarm = initialize_swarm(spec, 40, RngStream(8), vmax, EvalCounter(budget=40))
         params = KinematicParams(0.7, 1.49445, 1.49445, vmax)
         draws = RngStream(9)
         r1, r2 = draws.uniform(size=(40, 10)), draws.uniform(size=(40, 10))
