@@ -45,10 +45,10 @@ class FitnessHistory:
         self.values.append(float(best_fitness))
 
 
-def evolution_rate(history: FitnessHistory, window: int | None = None) -> float:
+def evolution_rate(history: FitnessHistory) -> float:
     """Windowed relative improvement of the best fitness.
 
-    With bf the recorded trajectory and K the window:
+    With bf the recorded trajectory and K the history's window:
 
         t = 1       -> 1
         t <= K      -> (bf(1) - bf(t))     / (t * bf(t-1))
@@ -57,9 +57,7 @@ def evolution_rate(history: FitnessHistory, window: int | None = None) -> float:
     The denominator uses |bf(t-1)| + 1e-12: recorded values may reach 0
     on error-form benchmarks, and user objectives may go negative.
     """
-    k = history.window if window is None else window
-    if k < 1:
-        raise ValueError("window must be a positive integer")
+    k = history.window
     bf = history.values  # bf[t - 1] is the record of iteration t
     t = len(bf)
     if t == 0:
@@ -79,14 +77,14 @@ def _unit_clamp(e: float) -> float:
     return min(1.0, max(0.0, float(e)))
 
 
-def omega_exploration(e: float, scale: float = 0.67, rate: float = 2.67) -> float:
+def omega_exploration(e: float) -> float:
     """Exploration inertia: sigmoid of diversity, clamped into [0.6, 0.9].
 
-    The raw map 1/(1 + scale*exp(-rate*e)) overshoots the advertised range
-    slightly at e = 1 (~0.956 with the default constants), so the output is
-    clamped; the constants stay configurable rather than being rewritten.
+    The paper's raw map 1/(1 + 0.67*exp(-2.67*e)) overshoots that range
+    slightly at e = 1 (~0.956), so the output is clamped rather than the
+    constants rewritten.
     """
-    raw = 1.0 / (1.0 + scale * np.exp(-rate * _unit_clamp(e)))
+    raw = 1.0 / (1.0 + 0.67 * np.exp(-2.67 * _unit_clamp(e)))
     return min(0.9, max(0.6, float(raw)))
 
 

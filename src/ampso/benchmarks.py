@@ -86,9 +86,6 @@ class BenchmarkEntry:
     optimum_coordinate: float  # optimum position is this value in every dimension
     optimum_value: float
 
-    def optimum_position(self, dimension: int) -> np.ndarray:
-        return np.full(dimension, self.optimum_coordinate)
-
     def bounds(self, dimension: int) -> Bounds:
         low, high = self.default_bounds
         return Bounds.cube(low, high, dimension)
@@ -130,7 +127,6 @@ def make_spec(
     """
     entry = get_entry(name)
     return ObjectiveSpec(
-        function_id=entry.name,
         dimension=dimension,
         bounds=bounds if bounds is not None else entry.bounds(dimension),
         function=entry.function,

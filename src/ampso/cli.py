@@ -150,43 +150,28 @@ def _campaign(args, config: AmpsoConfig, base_seed: int, runs: int = 1, jobs: in
     return campaign
 
 
-def _single_run(args, config: AmpsoConfig):
+def cmd_run(args, config: AmpsoConfig) -> int:
+    """``run`` and ``trace``: one seeded run, its summary line and its trace CSV."""
+    stride = getattr(args, "stride", None)  # only ``trace`` takes --stride
+    if stride is not None and stride < 1:
+        raise UsageError("--stride must be at least 1")
     config = config.with_overrides(seed=_resolve_seed(args.seed, config))
     campaign = _campaign(args, config, config.seed)
     if len(campaign.algorithms) != 1 or len(campaign.functions) != 1:
         raise UsageError("this command takes a single algorithm and function")
     (algorithm,), (function,) = campaign.algorithms, campaign.functions
     result = ALGORITHMS[algorithm](config, make_spec(function, args.dim))
-    return algorithm, function, config.seed, result
-
-
-def cmd_run(args) -> int:
-    config = load_config(args.config, os.environ, _cli_config_overrides(args))
-    algorithm, function, seed, result = _single_run(args, config)
-    if args.out:
-        write_trace_csv(args.out, result)
+    trace = args.command == "trace"
+    if args.out or trace:
+        write_trace_csv(args.out, result, stride=stride)
     print(
-        f"{algorithm} {function} dim={args.dim} seed={seed} "
-        f"best_error={result.best_error:.6e} fe_used={result.fe_used}"
+        f"{algorithm} {function} dim={args.dim} seed={config.seed} "
+        f"best_error={result.best_error:.6e} fe_used={result.fe_used}" + (f" trace={args.out}" if trace else "")
     )
     return 0
 
 
-def cmd_trace(args) -> int:
-    config = load_config(args.config, os.environ, _cli_config_overrides(args))
-    if args.stride is not None and args.stride < 1:
-        raise UsageError("--stride must be at least 1")
-    algorithm, function, seed, result = _single_run(args, config)
-    write_trace_csv(args.out, result, stride=args.stride)
-    print(
-        f"{algorithm} {function} dim={args.dim} seed={seed} "
-        f"best_error={result.best_error:.6e} fe_used={result.fe_used} trace={args.out}"
-    )
-    return 0
-
-
-def cmd_bench(args) -> int:
-    config = load_config(args.config, os.environ, _cli_config_overrides(args))
+def cmd_bench(args, config: AmpsoConfig) -> int:
     base_seed = _resolve_seed(args.seed, config)
     campaign = _campaign(args, config, base_seed, runs=args.runs, jobs=args.jobs)
     records, cells = run_campaign(campaign)
@@ -198,26 +183,16 @@ def cmd_bench(args) -> int:
     return 1 if any(cell.error for cell in cells) else 0
 
 
-def _cli_config_overrides(args) -> dict:
-    overrides: dict = {}
-    if args.fe_budget is not None:
-        overrides["fe_budget"] = args.fe_budget
-    return overrides
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"run": cmd_run, "bench": cmd_bench, "trace": cmd_trace}
+    args = build_parser().parse_args(argv)
+    handler = cmd_bench if args.command == "bench" else cmd_run
+    flags = {} if args.fe_budget is None else {"fe_budget": args.fe_budget}
     try:
-        return handlers[args.command](args)
+        return handler(args, load_config(args.config, os.environ, flags))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # runtime failure, an unwritable output included
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

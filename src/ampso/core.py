@@ -134,14 +134,13 @@ class Swarm:
 
 @dataclass
 class ObjectiveSpec:
-    """A benchmark function instance: registry id, box, optional shift/rotation.
+    """A benchmark function instance: box, objective, optional shift/rotation.
 
     The effective objective is ``f(rotation @ (x - shift))``.  ``function``
     must reduce over the last axis so batches of positions evaluate in one
     call.  ``optimum_value`` is the known minimum used for error reporting.
     """
 
-    function_id: str
     dimension: int
     bounds: Bounds
     function: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
@@ -242,12 +241,20 @@ class RngStream:
 
 
 def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCounter) -> np.ndarray:
-    """Evaluate a (n, D) block of positions, spending n evaluations."""
+    """Evaluate a (n, D) block of positions, spending n evaluations.
+
+    An objective that returns NaN for any point is rejected with a
+    ``ValueError``: a NaN fitness cannot be ranked against the others.
+    """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != spec.dimension:
         raise ValueError(f"expected an (n, {spec.dimension}) position block")
     counter.spend(positions.shape[0])
-    return np.asarray(spec.function(spec.transform(positions)), dtype=float)
+    fitness = np.asarray(spec.function(spec.transform(positions)), dtype=float)
+    nan = np.isnan(fitness)
+    if nan.any():
+        raise ValueError(f"objective returned NaN for {nan.sum()} of {len(positions)} points")
+    return fitness
 
 
 def initialize_swarm(

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -83,7 +83,10 @@ class CampaignSpec:
     jobs: int = 1
 
     def validate(self) -> None:
-        """Reject a bad grid before any run: config, counts, seeds, names, dimensions."""
+        """Reject a bad grid before any run: config, counts, seeds, names, dimensions.
+
+        Each grid axis needs at least one entry and may list none twice.
+        """
         self.config.validate()
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
@@ -102,9 +105,13 @@ class CampaignSpec:
             get_entry(function)  # raises UnknownFunctionError, a ValueError
         if any(dim < 1 for dim in self.dimensions):
             raise ValueError("dimensions must be at least 1")
-
-    def seed_for(self, run_index: int) -> int:
-        return self.base_seed + run_index
+        for axis in ("algorithms", "functions", "dimensions"):
+            entries = getattr(self, axis)
+            if not entries:
+                raise ValueError(f"{axis} must not be empty")
+            for entry in entries:
+                if entries.count(entry) > 1:
+                    raise ValueError(f"{axis} lists {entry!r} more than once")
 
     def cells(self):
         return product(self.algorithms, self.functions, self.dimensions)
@@ -112,7 +119,7 @@ class CampaignSpec:
     def tasks(self):
         for algorithm, function, dim in self.cells():
             for run in range(self.runs):
-                yield (algorithm, function, dim, run, self.seed_for(run), self.config)
+                yield (algorithm, function, dim, run, self.base_seed + run, self.config)
 
 
 @dataclass(frozen=True)
@@ -217,25 +224,12 @@ def write_campaign_outputs(
     )
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    summary_header = ("algorithm", "function", "dim", "runs", "mean", "std", "best", "worst", "median")
+    summary_header = ("algorithm", "function", "dim", "runs", *(f.name for f in fields(StatsSummary)))
     _atomic_write(
         summary_path,
         _csv_text(
             summary_header,
-            [
-                (
-                    c.algorithm,
-                    c.function,
-                    c.dim,
-                    c.runs,
-                    repr(c.stats.mean),
-                    repr(c.stats.std),
-                    repr(c.stats.best),
-                    repr(c.stats.worst),
-                    repr(c.stats.median),
-                )
-                for c in cells
-            ],
+            [(c.algorithm, c.function, c.dim, c.runs, *map(repr, astuple(c.stats))) for c in cells],
         ),
     )
 
@@ -252,11 +246,7 @@ def write_campaign_outputs(
                 "function": c.function,
                 "dim": c.dim,
                 "runs": c.runs,
-                "mean": _json_number(c.stats.mean),
-                "std": _json_number(c.stats.std),
-                "best": _json_number(c.stats.best),
-                "worst": _json_number(c.stats.worst),
-                "median": _json_number(c.stats.median),
+                **{name: _json_number(value) for name, value in asdict(c.stats).items()},
                 **({"error": c.error} if c.error else {}),
             }
             for c in cells
@@ -282,16 +272,5 @@ def write_trace_csv(path: str, result: RunResult, stride: int | None = None) -> 
             kept.append(points[-1])
         points = kept
 
-    rows = [
-        (
-            p.fe,
-            p.iteration,
-            p.phase,
-            repr(p.best_error),
-            repr(p.diversity),
-            repr(p.omega),
-            repr(p.evolution_rate),
-        )
-        for p in points
-    ]
+    rows = [(p.fe, p.iteration, p.phase, *map(repr, p[3:])) for p in points]
     _atomic_write(path, _csv_text(TRACE_COLUMNS, rows))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, p
 __all__ = [
     "ConfigError",
     "AmpsoConfig",
-    "IterationPlan",
     "PhaseSpan",
     "TracePoint",
     "RunResult",
@@ -85,8 +84,6 @@ class AmpsoConfig:
     vmax_factor: float = 0.01
     fe_budget: int | None = None
     seed: int = 0
-    expl_omega_scale: float = 0.67
-    expl_omega_rate: float = 2.67
 
     def validate(self) -> None:
         for name, hint in get_type_hints(AmpsoConfig).items():
@@ -127,15 +124,6 @@ class AmpsoConfig:
     def resolved_budget(self, dimension: int) -> int:
         return self.fe_budget if self.fe_budget is not None else 10000 * dimension
 
-    def plan(self, budget: int) -> "IterationPlan":
-        total = budget // self.convergence_size
-        return IterationPlan(
-            total_iterations=total,
-            exploration_iterations=round(self.exploration_ratio * total),
-            exploitation_cap=round(self.exploitation_ratio * total),
-            replace_count=round(self.replace_ratio * self.exploitation_size),
-        )
-
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
@@ -147,16 +135,6 @@ class AmpsoConfig:
         return replace(self, **overrides)
 
 
-@dataclass(frozen=True)
-class IterationPlan:
-    """Iteration quotas derived from a budget."""
-
-    total_iterations: int
-    exploration_iterations: int
-    exploitation_cap: int
-    replace_count: int
-
-
 @dataclass
 class PhaseSpan:
     """One contiguous stretch of a phase, in evaluation coordinates."""
@@ -166,9 +144,11 @@ class PhaseSpan:
     end_fe: int
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """One logged iteration.  ``best_error`` is the best-ever error so far."""
+class TracePoint(NamedTuple):
+    """One logged iteration, fields in trace-CSV column order.
+
+    ``best_error`` is the best-ever error so far.
+    """
 
     fe: int
     iteration: int
@@ -194,8 +174,9 @@ class _Run:
     """What every swarm of one run shares: budget, randomness, best-ever
     solution, trace and phase log.
 
-    ``iteration`` counts iterations across the whole run; the trace logs
-    it with the phase that is open.
+    ``total_iterations`` is the iteration budget, ``fe_budget //
+    convergence_size``.  ``iteration`` counts iterations across the whole
+    run; the trace logs it with the phase that is open.
     """
 
     def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None):
@@ -204,9 +185,8 @@ class _Run:
         self.spec = spec
         self.rng = RngStream(config.seed if seed is None else seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
-        self.bounds = spec.bounds
+        self.total_iterations = self.counter.budget // config.convergence_size
         self.vmax = config.vmax_factor * spec.bounds.span
-        self.f_star = spec.optimum_value
         self.best_position: np.ndarray | None = None
         self.best_fitness = math.inf
         self.iteration = 0
@@ -229,7 +209,7 @@ class _Run:
         return KinematicParams(omega, self.config.c1, self.config.c2, self.vmax)
 
     def diversity(self, swarm: Swarm) -> DiversityReading:
-        return hybrid_diversity(swarm, self.bounds, self.config.entropy_bins)
+        return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
 
     def spawn(self, position: np.ndarray, fitness: float, size: int) -> Swarm:
         """A swarm spawned around a known-good solution, offered as it is born."""
@@ -243,7 +223,7 @@ class _Run:
                 fe=self.counter.used,
                 iteration=self.iteration,
                 phase=self.phase_log[-1].phase,
-                best_error=self.best_fitness - self.f_star,
+                best_error=self.best_fitness - self.spec.optimum_value,
                 diversity=diversity,
                 omega=omega,
                 evolution_rate=er,
@@ -253,7 +233,7 @@ class _Run:
     def result(self) -> RunResult:
         return RunResult(
             best_position=self.best_position,
-            best_error=self.best_fitness - self.f_star,
+            best_error=self.best_fitness - self.spec.optimum_value,
             fe_used=self.counter.used,
             trace=self.trace,
             phase_log=self.phase_log,
@@ -279,23 +259,23 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     sub-swarms and have no evolution rate.
     """
     run = _Run(config, spec, seed)
-    plan = config.plan(run.counter.budget)
     while run.counter.remaining >= config.exploration_size:
-        subs = _explore(run, plan)
+        subs = _explore(run)
         if run.counter.remaining < config.exploitation_size:
             break
         # best particle over all sub-swarms seeds the exploitation swarm
-        _exploit(run, plan, min(subs, key=lambda sub: sub.global_best_fitness))
-        if run.iteration > plan.total_iterations / 3:
+        _exploit(run, min(subs, key=lambda sub: sub.global_best_fitness))
+        if run.iteration > run.total_iterations / 3:
             break
     if run.counter.remaining >= config.convergence_size and run.best_position is not None:
-        _converge(run, plan)
+        _converge(run)
     return run.result()
 
 
-def _explore(run: _Run, plan: IterationPlan) -> list[Swarm]:
+def _explore(run: _Run) -> list[Swarm]:
     """One exploration block: fresh independent sub-swarms, stepped in turn."""
     config, counter = run.config, run.counter
+    iterations = round(config.exploration_ratio * run.total_iterations)
     run.open_phase(EXPLORATION)
     subs = [
         initialize_swarm(run.spec, config.sub_swarm_size, run.rng, run.vmax, counter)
@@ -307,13 +287,13 @@ def _explore(run: _Run, plan: IterationPlan) -> list[Swarm]:
         run.log(float(np.mean([run.diversity(sub).hybrid for sub in subs])), math.nan, math.nan)
 
     t = 0
-    while t < plan.exploration_iterations and counter.remaining >= config.exploration_size:
+    while t < iterations and counter.remaining >= config.exploration_size:
         t += 1
         run.iteration += 1
         diversities, omegas = [], []
         for sub in subs:
             e = run.diversity(sub).hybrid
-            w = omega_exploration(e, config.expl_omega_scale, config.expl_omega_rate)
+            w = omega_exploration(e)
             pso_step(sub, run.kinematics(w), run.spec, run.rng, counter)
             diversities.append(e)
             omegas.append(w)
@@ -324,21 +304,23 @@ def _explore(run: _Run, plan: IterationPlan) -> list[Swarm]:
     return subs
 
 
-def _exploit(run: _Run, plan: IterationPlan, seed: Swarm) -> None:
+def _exploit(run: _Run, seed: Swarm) -> None:
     """One exploitation block around ``seed``'s best, until it stalls or hits its cap."""
     config, counter = run.config, run.counter
+    cap = round(config.exploitation_ratio * run.total_iterations)
+    n_replace = round(config.replace_ratio * config.exploitation_size)
     run.open_phase(EXPLOITATION)
     swarm = run.spawn(seed.global_best_position, seed.global_best_fitness, config.exploitation_size)
     history = FitnessHistory(window=config.rate_window)
     t = 0
-    while t < plan.exploitation_cap and counter.remaining >= config.exploitation_size:
+    while t < cap and counter.remaining >= config.exploitation_size:
         t += 1
         run.iteration += 1
         reading = run.diversity(swarm)
         omega = omega_standard(reading.hybrid)
         sigma = sigma_reconstruction(reading.hybrid)
-        partial_reconstruct(swarm, plan.replace_count, sigma, run.bounds, run.spec, run.rng, counter)
-        chosen = run.rng.permutation(swarm.size)[: swarm.size - plan.replace_count]
+        partial_reconstruct(swarm, n_replace, sigma, run.spec, run.rng, counter)
+        chosen = run.rng.permutation(swarm.size)[: swarm.size - n_replace]
         pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
         history.record(swarm.global_best_fitness)
         er = evolution_rate(history)
@@ -349,7 +331,7 @@ def _exploit(run: _Run, plan: IterationPlan, seed: Swarm) -> None:
     run.close_phase()
 
 
-def _converge(run: _Run, plan: IterationPlan) -> None:
+def _converge(run: _Run) -> None:
     """The terminal phase: refine the best-ever solution until the budget runs out."""
     config, counter = run.config, run.counter
     run.open_phase(CONVERGENCE)
@@ -365,9 +347,9 @@ def _converge(run: _Run, plan: IterationPlan) -> None:
         er = evolution_rate(history)
         if er < config.stagnation_threshold:
             stalled += 1
-        p_rebuild = reconstruct_probability(plan.total_iterations, stalled)
+        p_rebuild = reconstruct_probability(run.total_iterations, stalled)
         if run.rng.uniform() < p_rebuild:
-            full_reconstruct(swarm, sigma, run.bounds, run.spec, run.rng, counter)
+            full_reconstruct(swarm, sigma, run.spec, run.rng, counter)
             stalled = 0
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
@@ -385,7 +367,6 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     """
     run = _Run(config, spec, seed)
     counter, size = run.counter, config.convergence_size
-    total_iterations = counter.budget // size
     run.open_phase("gpso")
     swarm = initialize_swarm(spec, size, run.rng, run.vmax, counter)
     run.offer(swarm)
@@ -393,7 +374,7 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     run.log(run.diversity(swarm).hybrid, math.nan, math.nan)
     while counter.remaining >= size:
         run.iteration += 1
-        omega = linear_inertia(run.iteration, total_iterations)
+        omega = linear_inertia(run.iteration, run.total_iterations)
         reading = run.diversity(swarm)
         pso_step(swarm, run.kinematics(omega), spec, run.rng, counter)
         history.record(swarm.global_best_fitness)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Bounds,
     EvalCounter,
     ObjectiveSpec,
     RngStream,
@@ -154,7 +153,6 @@ def partial_reconstruct(
     swarm: Swarm,
     n_worst: int,
     sigma: float,
-    bounds: Bounds,
     spec: ObjectiveSpec,
     rng: RngStream,
     counter: EvalCounter,
@@ -182,15 +180,14 @@ def partial_reconstruct(
     r = rng.normal(0.0, sigma, size=n_worst)
     positions = np.empty((n_worst, swarm.dimension))
     positions[:] = swarm.global_best_position
-    positions[np.arange(n_worst), dims] += bounds.span[dims] * r
-    _clip_into(positions, bounds.lower, bounds.upper)
+    positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
+    _clip_into(positions, spec.bounds.lower, spec.bounds.upper)
     _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
 
 
 def full_reconstruct(
     swarm: Swarm,
     sigma: float,
-    bounds: Bounds,
     spec: ObjectiveSpec,
     rng: RngStream,
     counter: EvalCounter,
@@ -207,7 +204,7 @@ def full_reconstruct(
         raise ValueError("sigma must be positive")
     counter.require(swarm.size)
     positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
-    positions *= bounds.span
+    positions *= spec.bounds.span
     positions += swarm.global_best_position
-    _clip_into(positions, bounds.lower, bounds.upper)
+    _clip_into(positions, spec.bounds.lower, spec.bounds.upper)
     _install(swarm, slice(None), positions, evaluate_batch(spec, positions, counter))

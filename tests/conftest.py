@@ -1,6 +1,9 @@
 import numpy as np
+from hypothesis import strategies as st
 
+from ampso.benchmarks import make_spec
 from ampso.core import Swarm
+from ampso.optimizer import AmpsoConfig
 
 
 def build_swarm(positions, current_fitness=None) -> Swarm:
@@ -58,3 +61,36 @@ class StubRng:
 
     def permutation(self, n):
         return np.arange(n)
+
+
+def half_nan_sphere(dim: int):
+    """The sphere on its default box, with a NaN objective wherever x0 > 0."""
+    spec = make_spec("sphere", dim)
+    spec.function = lambda x: np.where(x[..., 0] > 0, np.nan, np.sum(x * x, axis=-1))
+    return spec
+
+
+@st.composite
+def configs(draw):
+    """Valid configs with small swarms, budgets from the floor up to 3000."""
+    sub = draw(st.integers(1, 5))
+    exploration_size = sub * draw(st.integers(1, 4))
+    exploitation_size = draw(st.integers(2, 40))
+    convergence_size = draw(st.integers(4, 40))
+    floor = max(exploration_size, convergence_size)
+    config = AmpsoConfig(
+        exploration_size=exploration_size,
+        sub_swarm_size=sub,
+        exploitation_size=exploitation_size,
+        convergence_size=convergence_size,
+        exploration_ratio=draw(st.floats(0.0, 0.2)),
+        exploitation_ratio=draw(st.floats(0.0, 0.5)),
+        replace_ratio=draw(st.integers(1, exploitation_size - 1)) / exploitation_size,
+        stagnation_threshold=draw(st.floats(0.0, 0.01)),
+        rate_window=draw(st.integers(1, 60)),
+        entropy_bins=draw(st.integers(2, 20)),
+        vmax_factor=draw(st.floats(0.001, 0.2)),
+        fe_budget=draw(st.integers(floor, 3000)),
+    )
+    config.validate()
+    return config

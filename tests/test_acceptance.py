@@ -162,13 +162,13 @@ def test_criterion_05_gaussian_scaling():
 
     # one-dimension rebuild at sigma = 0.13: the single moved coordinate per row
     big = build_swarm(np.zeros((100_000, 10)), current_fitness=np.arange(100_000, dtype=float))
-    partial_reconstruct(big, 100_000, 0.13, spec.bounds, spec, RngStream(2), EvalCounter(budget=100_000))
+    partial_reconstruct(big, 100_000, 0.13, spec, RngStream(2), EvalCounter(budget=100_000))
     offsets = big.positions.sum(axis=1)  # rows equal the best except one coordinate
     ok &= abs(offsets.std() - 0.13 * span) / (0.13 * span) <= 0.05
 
     # whole-swarm rebuild at sigma = 0.2
     wide = build_swarm(np.zeros((10_000, 10)), current_fitness=np.zeros(10_000))
-    full_reconstruct(wide, 0.2, spec.bounds, spec, RngStream(3), EvalCounter(budget=10_000))
+    full_reconstruct(wide, 0.2, spec, RngStream(3), EvalCounter(budget=10_000))
     ok &= abs(wide.positions.std() - 0.2 * span) / (0.2 * span) <= 0.05
 
     report(5, "spawn/rebuild offsets scale as sigma times the box span (5%)", ok)

@@ -19,7 +19,7 @@ class TestRegistryValues:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_optimum_reproduced(self, name, dim):
         entry = get_entry(name)
-        value = entry.function(entry.optimum_position(dim))
+        value = entry.function(np.full(dim, entry.optimum_coordinate))
         assert abs(value - entry.optimum_value) <= 1e-9
 
     def test_sphere_zero(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ampso.benchmarks import make_spec
 from ampso.core import BudgetExhausted, EvalCounter, RngStream, initialize_swarm
-from ampso.optimizer import AmpsoConfig, run_ampso, run_gpso
+from ampso.optimizer import run_ampso, run_gpso
 from ampso.swarm_ops import (
     KinematicParams,
     full_reconstruct,
@@ -24,6 +24,7 @@ from ampso.swarm_ops import (
     pso_step,
     spawn_artificial_swarm,
 )
+from conftest import configs
 
 SWARM_FIELDS = ("positions", "velocities", "best_positions", "best_fitness", "current_fitness", "global_best_position")
 
@@ -46,8 +47,8 @@ def _operation(name: str, swarm, spec, vmax, data):
         return cost, lambda rng, counter: pso_step(swarm, params, spec, rng, counter, sel)
     if name == "partial_reconstruct":
         n_worst = data.draw(st.integers(1, n), label="n_worst")
-        return n_worst, lambda rng, counter: partial_reconstruct(swarm, n_worst, 0.15, spec.bounds, spec, rng, counter)
-    return n, lambda rng, counter: full_reconstruct(swarm, 0.15, spec.bounds, spec, rng, counter)
+        return n_worst, lambda rng, counter: partial_reconstruct(swarm, n_worst, 0.15, spec, rng, counter)
+    return n, lambda rng, counter: full_reconstruct(swarm, 0.15, spec, rng, counter)
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,32 +81,6 @@ def test_short_budget_spends_and_changes_nothing(name, n, d, seed, data):
     fresh = RngStream(seed + 1)  # no draw was taken from either sequence
     assert np.array_equal(rng.uniform(size=3), fresh.uniform(size=3))
     assert np.array_equal(rng.normal(size=3), fresh.normal(size=3))
-
-
-@st.composite
-def configs(draw):
-    """Valid configs with small swarms, budgets from the floor up to 3000."""
-    sub = draw(st.integers(1, 5))
-    exploration_size = sub * draw(st.integers(1, 4))
-    exploitation_size = draw(st.integers(2, 40))
-    convergence_size = draw(st.integers(4, 40))
-    floor = max(exploration_size, convergence_size)
-    config = AmpsoConfig(
-        exploration_size=exploration_size,
-        sub_swarm_size=sub,
-        exploitation_size=exploitation_size,
-        convergence_size=convergence_size,
-        exploration_ratio=draw(st.floats(0.0, 0.2)),
-        exploitation_ratio=draw(st.floats(0.0, 0.5)),
-        replace_ratio=draw(st.integers(1, exploitation_size - 1)) / exploitation_size,
-        stagnation_threshold=draw(st.floats(0.0, 0.01)),
-        rate_window=draw(st.integers(1, 60)),
-        entropy_bins=draw(st.integers(2, 20)),
-        vmax_factor=draw(st.floats(0.001, 0.2)),
-        fe_budget=draw(st.integers(floor, 3000)),
-    )
-    config.validate()
-    return config
 
 
 @settings(max_examples=100, deadline=None)

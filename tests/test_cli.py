@@ -290,6 +290,20 @@ class TestBenchCommand:
         code, _, _ = run_cli(args + ["--seed", str(2**64 - 2)] + BUDGET_ARGS, capsys)
         assert code == 0
 
+    def test_empty_grid_entry_exits_2(self, tmp_path, capsys):
+        args = ["bench", "--algo", ",", "--function", "sphere", "--dim", "2", "--runs", "1"]
+        code, out, err = run_cli(args + ["--out", str(tmp_path / "b")], capsys)
+        assert code == 2
+        assert "algorithms must not be empty" in err
+        assert not out and not (tmp_path / "b").exists()
+
+    def test_repeated_grid_entry_exits_2(self, tmp_path, capsys):
+        args = ["bench", "--algo", "gpso", "--function", "sphere,sphere", "--dim", "2", "--runs", "2"]
+        code, out, err = run_cli(args + ["--fe-budget", "100", "--out", str(tmp_path / "b")], capsys)
+        assert code == 2
+        assert "'sphere'" in err
+        assert not out and not (tmp_path / "b").exists()
+
     def test_failed_run_reason_printed(self, tmp_path, capsys, monkeypatch):
         def crash(config, spec, seed=None):
             raise RuntimeError("objective blew up")

@@ -116,6 +116,12 @@ class TestEvaluate:
         evaluate_batch(spec, np.zeros((7, 4)), counter)
         assert counter.used == calls["rows"] == 12
 
+    def test_nan_objective_rejected(self):
+        spec = make_spec("sphere", 2)
+        spec.function = lambda block: np.array([1.0, np.nan, np.nan])
+        with pytest.raises(ValueError, match="objective returned NaN for 2 of 3 points"):
+            evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
+
 
 class TestObjectiveSpec:
     def test_rotation_must_be_orthogonal(self):

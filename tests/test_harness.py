@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ampso.harness import (
 )
 from ampso.optimizer import AmpsoConfig, run_ampso
 from ampso.benchmarks import make_spec
+from conftest import half_nan_sphere
 
 TINY = AmpsoConfig(fe_budget=2000)
 
@@ -150,6 +152,29 @@ class TestCampaign:
         assert [failed[k] for k in ("mean", "std", "best", "worst", "median")] == [None] * 5
         with open(paths["runs"]) as handle:
             assert next(csv.reader(handle)) == ["algorithm", "function", "dim", "run", "seed", "best_error", "fe_used"]
+
+    def test_nan_objective_fails_its_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "make_spec", lambda function, dim: half_nan_sphere(dim))
+        campaign = CampaignSpec(algorithms=("gpso",), functions=("sphere",), dimensions=(2,), runs=2, config=TINY)
+        _, (cell,) = run_campaign(campaign)
+        assert re.fullmatch(
+            r"run 0 \(seed 0\) failed: ValueError: objective returned NaN for \d+ of \d+ points", cell.error
+        )
+
+    @pytest.mark.parametrize(
+        "axis, entries, message",
+        [
+            ("algorithms", (), "algorithms must not be empty"),
+            ("functions", (), "functions must not be empty"),
+            ("dimensions", (), "dimensions must not be empty"),
+            ("algorithms", ("gpso", "ampso", "gpso"), "algorithms lists 'gpso' more than once"),
+            ("functions", ("sphere", "sphere"), "functions lists 'sphere' more than once"),
+            ("dimensions", (2, 2), "dimensions lists 2 more than once"),
+        ],
+    )
+    def test_empty_or_repeated_grid_entry_rejected(self, axis, entries, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec(**{axis: entries}, config=TINY).validate()
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from ampso.optimizer import (
     run_ampso,
     run_gpso,
 )
+from conftest import half_nan_sphere
 
 
 def phase_word(span) -> str:
@@ -26,14 +27,35 @@ def assert_phase_grammar(phase_log):
     assert re.fullmatch(r"(RX)+C", word), f"phase sequence {word!r} breaks the grammar"
 
 
+@pytest.fixture(scope="module")
+def default_d10_run():
+    """A default D=10 run (2500 iterations) and the n_worst of every partial rebuild."""
+    n_worst = []
+    real = optimizer_module.partial_reconstruct
+
+    def spy(swarm, n, *args):
+        n_worst.append(n)
+        real(swarm, n, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer_module, "partial_reconstruct", spy)
+        result = run_ampso(AmpsoConfig(), make_spec("rastrigin", 10), seed=0)
+    return result, n_worst
+
+
 class TestConfig:
-    def test_plan_matches_stated_defaults(self):
-        config = AmpsoConfig()
-        plan = config.plan(config.resolved_budget(10))
-        assert plan.total_iterations == 2500
-        assert plan.exploration_iterations == 50
-        assert plan.exploitation_cap == 500
-        assert plan.replace_count == 10
+    def test_plan_matches_stated_defaults(self, default_d10_run):
+        # 2% of 2500 iterations per exploration block, exploitation capped at
+        # 20%, and a quarter of the 40-particle exploitation swarm rebuilt
+        result, n_worst = default_d10_run
+        first = result.phase_log[0]
+        assert first.phase == EXPLORATION
+        rows = [p for p in result.trace if p.fe <= first.end_fe]
+        assert [p.iteration for p in rows] == list(range(51))  # the initial row, then 50 iterations
+        for span in result.phase_log:
+            if span.phase == EXPLOITATION:
+                assert 0 < sum(1 for p in result.trace if span.start_fe < p.fe <= span.end_fe) <= 500
+        assert n_worst and set(n_worst) == {10}
 
     def test_budget_defaults_to_dimension_rule(self):
         assert AmpsoConfig().resolved_budget(30) == 300_000
@@ -177,12 +199,12 @@ class TestRunAmpso:
 
     def test_convergence_starts_after_a_third_of_iterations(self, small_run):
         config, spec, result = small_run
-        plan = config.plan(config.resolved_budget(spec.dimension))
+        total_iterations = config.resolved_budget(spec.dimension) // config.convergence_size
         convergence_start = next(s.start_fe for s in result.phase_log if s.phase == CONVERGENCE)
         pre_convergence_iters = sum(
             1 for p in result.trace if p.fe <= convergence_start and not math.isnan(p.omega)
         )
-        assert pre_convergence_iters > plan.total_iterations / 3
+        assert pre_convergence_iters > total_iterations / 3
 
     def test_diversity_and_omega_ranges(self, small_run):
         _, _, result = small_run
@@ -264,3 +286,9 @@ class TestRunGpso:
     def test_single_phase_log(self, sphere_run):
         _, _, result = sphere_run
         assert [s.phase for s in result.phase_log] == ["gpso"]
+
+
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_nan_objective_rejected(run):
+    with pytest.raises(ValueError, match=r"objective returned NaN for \d+ of \d+ points"):
+        run(AmpsoConfig(fe_budget=3000), half_nan_sphere(2), seed=0)

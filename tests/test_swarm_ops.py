@@ -155,7 +155,7 @@ class TestPartialReconstruct:
         spec = sphere_spec(3)
         swarm = build_swarm(np.arange(12.0).reshape(4, 3), current_fitness=np.array([1.0, 9.0, 4.0, 16.0]))
         counter = EvalCounter(budget=10)
-        partial_reconstruct(swarm, 2, 1e-300, spec.bounds, spec, StubRng(normal_value=0.0), counter)
+        partial_reconstruct(swarm, 2, 1e-300, spec, StubRng(normal_value=0.0), counter)
         # worst two were indices 3 and 1
         assert np.array_equal(swarm.positions[3], swarm.positions[1])
         assert counter.used == 2
@@ -167,7 +167,7 @@ class TestPartialReconstruct:
         swarm.global_best_fitness = 7500.0
         counter = EvalCounter(budget=10)
         stub = StubRng(normal_value=0.1, integer_value=1)
-        partial_reconstruct(swarm, 1, 1.0, spec.bounds, spec, stub, counter)
+        partial_reconstruct(swarm, 1, 1.0, spec, stub, counter)
         rebuilt = swarm.positions[2]
         assert rebuilt[1] == pytest.approx(50.0 + 200.0 * 0.1, abs=1e-12)
         assert rebuilt[0] == 50.0 and rebuilt[2] == 50.0
@@ -179,7 +179,7 @@ class TestPartialReconstruct:
         worst = np.argsort(-swarm.current_fitness, kind="stable")[:3]
         keep = np.setdiff1d(np.arange(10), worst)
         before = swarm.positions[keep].copy()
-        partial_reconstruct(swarm, 3, 0.15, spec.bounds, spec, rng, EvalCounter(budget=100))
+        partial_reconstruct(swarm, 3, 0.15, spec, rng, EvalCounter(budget=100))
         assert np.array_equal(swarm.positions[keep], before)
         assert np.all(swarm.velocities[worst] == 0.0)
         assert np.array_equal(swarm.best_positions[worst], swarm.positions[worst])
@@ -190,7 +190,7 @@ class TestPartialReconstruct:
         spec = sphere_spec(2)
         swarm = build_swarm(np.arange(12.0).reshape(6, 2), current_fitness=fitness)
         marker = swarm.positions.copy()
-        partial_reconstruct(swarm, 3, 1e-300, spec.bounds, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
+        partial_reconstruct(swarm, 3, 1e-300, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
         changed = [i for i in range(6) if not np.array_equal(swarm.positions[i], marker[i])]
         assert sorted(changed) == sorted(order[:3])
 
@@ -199,14 +199,14 @@ class TestPartialReconstruct:
         rng = RngStream(10)
         swarm = initialize_swarm(spec, 8, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         best_before = swarm.global_best_fitness
-        partial_reconstruct(swarm, 4, 0.2, spec.bounds, spec, rng, EvalCounter(budget=100))
+        partial_reconstruct(swarm, 4, 0.2, spec, rng, EvalCounter(budget=100))
         assert swarm.global_best_fitness <= best_before
 
     def test_rejects_oversized_request(self):
         spec = sphere_spec(2)
         swarm = build_swarm(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            partial_reconstruct(swarm, 4, 0.1, spec.bounds, spec, RngStream(0), EvalCounter(budget=10))
+            partial_reconstruct(swarm, 4, 0.1, spec, RngStream(0), EvalCounter(budget=10))
 
 
 class TestFullReconstruct:
@@ -215,7 +215,7 @@ class TestFullReconstruct:
         rng = RngStream(11)
         swarm = initialize_swarm(spec, 6, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         best = swarm.global_best_position.copy()
-        full_reconstruct(swarm, 1e-300, spec.bounds, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
+        full_reconstruct(swarm, 1e-300, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
         assert np.allclose(swarm.positions, best)
         assert np.all(swarm.velocities == 0.0)
 
@@ -224,20 +224,20 @@ class TestFullReconstruct:
         rng = RngStream(12)
         swarm = initialize_swarm(spec, 10, rng, 0.01 * spec.bounds.span, EvalCounter(budget=200))
         best_before = swarm.global_best_fitness
-        full_reconstruct(swarm, 0.2, spec.bounds, spec, rng, EvalCounter(budget=200))
+        full_reconstruct(swarm, 0.2, spec, rng, EvalCounter(budget=200))
         assert swarm.global_best_fitness <= best_before
 
     def test_spread_statistics(self):
         spec = sphere_spec(10)
         swarm = build_swarm(np.zeros((10_000, 10)), current_fitness=np.zeros(10_000))
         swarm.global_best_position = np.zeros(10)
-        full_reconstruct(swarm, 0.2, spec.bounds, spec, RngStream(13), EvalCounter(budget=10_000))
+        full_reconstruct(swarm, 0.2, spec, RngStream(13), EvalCounter(budget=10_000))
         assert swarm.positions.std() == pytest.approx(0.2 * 200.0, rel=0.05)
 
     def test_bounds_closure(self):
         spec = sphere_spec(3, low=-2.0, high=3.0)
         swarm = build_swarm(np.zeros((30, 3)), current_fitness=np.zeros(30))
-        full_reconstruct(swarm, 0.2, spec.bounds, spec, RngStream(14), EvalCounter(budget=100))
+        full_reconstruct(swarm, 0.2, spec, RngStream(14), EvalCounter(budget=100))
         assert np.all(swarm.positions >= -2.0) and np.all(swarm.positions <= 3.0)
 
 
@@ -249,7 +249,7 @@ class TestOperatorInvariants:
         swarm = initialize_swarm(spec, 40, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
         counter = EvalCounter(budget=1000)
         n_s = 10
-        partial_reconstruct(swarm, n_s, 0.15, spec.bounds, spec, rng, counter)
+        partial_reconstruct(swarm, n_s, 0.15, spec, rng, counter)
         chosen = rng.permutation(40)[: 40 - n_s]
         pso_step(swarm, params_for(spec), spec, rng, counter, subset=chosen)
         assert counter.used == 40
@@ -266,9 +266,9 @@ class TestOperatorInvariants:
             if action == 0:
                 pso_step(swarm, params_for(spec, omega=0.7), spec, rng, counter)
             elif action == 1:
-                partial_reconstruct(swarm, 3, 0.12, spec.bounds, spec, rng, counter)
+                partial_reconstruct(swarm, 3, 0.12, spec, rng, counter)
             elif action == 2:
-                full_reconstruct(swarm, 0.15, spec.bounds, spec, rng, counter)
+                full_reconstruct(swarm, 0.15, spec, rng, counter)
             else:
                 swarm = spawn_artificial_swarm(
                     swarm.global_best_position,
