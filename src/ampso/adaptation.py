@@ -110,9 +110,9 @@ def reconstruct_probability(total_iterations: int, stalled_iterations: int) -> f
     return float(1.0 / (1.0 + np.exp(exponent)))
 
 
-def linear_inertia(iteration: int, total: int, start: float = 0.9, end: float = 0.4) -> float:
-    """Linearly decreasing inertia for the baseline: start at 0, end at total."""
+def linear_inertia(iteration: int, total: int) -> float:
+    """Linearly decreasing inertia for the baseline: 0.9 at 0, 0.4 at total."""
     if total < 1:
         raise ValueError("total must be a positive integer")
     frac = min(1.0, max(0.0, iteration / total))
-    return start + (end - start) * frac
+    return 0.9 + (0.4 - 0.9) * frac

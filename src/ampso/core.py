@@ -8,6 +8,7 @@ reproducible and evaluation costs are auditable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,22 +38,30 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """Box constraints of the search space, one interval per dimension."""
+    """Box constraints of the search space, one interval per dimension.
+
+    ``lower``, ``upper`` and ``span`` are read-only copies, so the row
+    blocks :meth:`rows` and :meth:`grid_scale` build from them once stay
+    valid for the life of the box.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    span: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)
+        upper = np.array(self.upper, dtype=float, ndmin=1)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        for name, value in (("lower", lower), ("upper", upper), ("span", upper - lower)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def cube(cls, low: float, high: float, dimension: int) -> "Bounds":
@@ -64,13 +73,38 @@ class Bounds:
         return self.lower.size
 
     @property
-    def span(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
     def diagonal_length(self) -> float:
         """Euclidean length of the box diagonal."""
         return float(np.linalg.norm(self.span))
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``lower`` and ``upper`` repeated over ``n`` rows, built once per n.
+
+        A ufunc that meets a same-shape (n, D) operand skips the broadcast
+        set-up it pays for a (D,) row on every call.
+        """
+        block = self._blocks.get(n)
+        if block is None:
+            block = self._blocks[n] = (_repeat_rows(self.lower, n), _repeat_rows(self.upper, n))
+        return block
+
+    def grid_scale(self, n: int, bins: int) -> np.ndarray:
+        """``bins / span`` repeated over ``n`` rows, built once per (n, bins).
+
+        ``(x - lower) * grid_scale`` maps a point of the box onto a grid of
+        ``bins`` equal cells per dimension.
+        """
+        block = self._blocks.get((n, bins))
+        if block is None:
+            block = self._blocks[n, bins] = _repeat_rows(bins / self.span, n)
+        return block
+
+
+def _repeat_rows(vector: np.ndarray, n: int) -> np.ndarray:
+    """Read-only, C-contiguous (n, D) block whose every row is ``vector``."""
+    block = np.tile(vector, (n, 1))
+    block.setflags(write=False)
+    return block
 
 
 @dataclass
@@ -243,18 +277,31 @@ class RngStream:
 def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCounter) -> np.ndarray:
     """Evaluate a (n, D) block of positions, spending n evaluations.
 
-    An objective that returns NaN for any point is rejected with a
-    ``ValueError``: a NaN fitness cannot be ranked against the others.
+    An objective that returns NaN or an infinite value for any point is
+    rejected with a ``ValueError``: such a fitness cannot be ranked
+    against the others or binned by the diversity reading.  One sum gates
+    the exact scan, so a finite block whose sum overflows still passes.
+    The sum runs over Python floats, which raise no floating-point
+    warnings and, for a few dozen values, cost less than a numpy sum.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != spec.dimension:
         raise ValueError(f"expected an (n, {spec.dimension}) position block")
     counter.spend(positions.shape[0])
     fitness = np.asarray(spec.function(spec.transform(positions)), dtype=float)
-    nan = np.isnan(fitness)
-    if nan.any():
-        raise ValueError(f"objective returned NaN for {nan.sum()} of {len(positions)} points")
+    if not math.isfinite(sum(fitness.ravel().tolist())):
+        _reject_non_finite(fitness, len(positions))
     return fitness
+
+
+def _reject_non_finite(fitness: np.ndarray, n: int) -> None:
+    """Raise naming how many points had a NaN, else an infinite, fitness."""
+    nan = np.isnan(fitness).sum()
+    if nan:
+        raise ValueError(f"objective returned NaN for {nan} of {n} points")
+    inf = np.isinf(fitness).sum()
+    if inf:
+        raise ValueError(f"objective returned an infinite value for {inf} of {n} points")
 
 
 def initialize_swarm(

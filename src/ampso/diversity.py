@@ -13,8 +13,8 @@ All entropies use base-Q logarithms so their range is exactly [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiversityReading:
+class DiversityReading(NamedTuple):
     """Per-iteration diversity snapshot feeding the control laws."""
 
     position_entropy: float
@@ -111,19 +110,21 @@ def fitness_diversity(swarm: Swarm, bins: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _histogram_constants(n: int, columns: int, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _histogram_constants(n: int, d: int, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
 
     Returns the table of p log p indexed by occupancy count 0..n (the
-    exact terms :func:`_entropy_from_counts` computes), the flat-index
-    offset of each column, and log(bins).
+    exact terms :func:`_entropy_from_counts` computes), the flat bincount
+    offset of every value of an (n, D) position block followed by n
+    fitness values, and -log(bins): dividing by it negates exactly, signed
+    zeros included, so the entropy takes one operation fewer.
     """
     p = np.arange(n + 1) / n
     plogp = p * np.log(np.where(p > 0, p, 1.0))
-    offsets = np.arange(columns) * bins
+    offsets = np.concatenate([np.tile(np.arange(d) * bins, n), np.full(n, d * bins)])
     plogp.setflags(write=False)
     offsets.setflags(write=False)
-    return plogp, offsets, np.log(bins)
+    return plogp, offsets, -np.log(bins)
 
 
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
@@ -131,8 +132,10 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
 
     Equal, bit for bit, to combining :func:`position_diversity` and
     :func:`fitness_diversity`, but bins positions and fitness together:
-    one (n, D+1) block whose last column is fitness over its [min, max],
-    one ``bincount``, and p log p read from a table indexed by count.
+    one flat block, the (n, D) positions over the box followed by the n
+    fitness values over their [min, max], one ``bincount`` (whose counts
+    do not depend on the order of the values), and p log p read from a
+    table indexed by count.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -140,36 +143,29 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
         raise ValueError("swarm must be non-empty")
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    plogp, offsets, log_bins = _histogram_constants(n, d + 1, bins)
+    plogp, offsets, neg_log_bins = _histogram_constants(n, d, bins)
     f_lo, f_hi = np.minimum.reduce(fitness), np.maximum.reduce(fitness)
     f_width = f_hi - f_lo
 
-    scale = np.empty(d + 1)
-    np.subtract(bounds.upper, bounds.lower, out=scale[:d])
-    scale[d] = f_width if f_width > 0 else 1.0
-    np.divide(bins, scale, out=scale)
-    block = np.empty((n, d + 1))
-    np.subtract(positions, bounds.lower, out=block[:, :d])
-    np.subtract(fitness, f_lo, out=block[:, d])
-    block *= scale
+    block = np.empty(n * (d + 1))
+    cells, fitness_cells = block[: n * d].reshape(n, d), block[n * d :]
+    np.subtract(positions, bounds.rows(n)[0], out=cells)
+    cells *= bounds.grid_scale(n, bins)
+    np.subtract(fitness, f_lo, out=fitness_cells)
+    fitness_cells *= bins / (f_width if f_width > 0 else 1.0)
     # int cast truncates toward zero; the clamps repair both edges
     idx = block.astype(np.intp)
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, bins - 1, out=idx)
     idx += offsets
-    counts = np.bincount(idx.ravel(), minlength=(d + 1) * bins).reshape(d + 1, bins)
-    entropy = -np.add.reduce(plogp[counts], axis=-1) / log_bins
+    counts = np.bincount(idx, minlength=(d + 1) * bins).reshape(d + 1, bins)
+    entropy = np.add.reduce(plogp[counts], axis=-1) / neg_log_bins
 
     per_dim = entropy[:d]
     e_pos = float(np.add.reduce(per_dim) / d)
     # a flat fitness range reads exactly 0.0, as in histogram_entropy
     e_fit = float(entropy[d]) if f_hi != f_lo else 0.0
-    return DiversityReading(
-        position_entropy=e_pos,
-        fitness_entropy=e_fit,
-        hybrid=(e_pos + e_fit) / 2.0,
-        per_dimension=per_dim,
-    )
+    return DiversityReading(e_pos, e_fit, (e_pos + e_fit) / 2.0, per_dim)
 
 
 def adap_center_diversity(swarm: Swarm, bounds: Bounds) -> float:

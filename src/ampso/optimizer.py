@@ -15,6 +15,7 @@ swarm under the same budget, trace and result contract.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -31,7 +32,7 @@ from .adaptation import (
     reconstruct_probability,
     sigma_reconstruction,
 )
-from .core import EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm
+from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm
 from .diversity import DiversityReading, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
@@ -171,22 +172,27 @@ class RunResult:
 
 
 class _Run:
-    """What every swarm of one run shares: budget, randomness, best-ever
-    solution, trace and phase log.
+    """What every swarm of one run shares: budget, randomness, velocity
+    cap, best-ever solution, trace and phase log.
 
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
-    run; the trace logs it with the phase that is open.
+    run; the trace logs it with the phase that is open.  ``speed`` is the
+    velocity box [-vmax, vmax].  ``spec`` is a copy of the problem with a
+    box of its own: both boxes keep the operand blocks the operators build
+    from them (:meth:`Bounds.rows`), and those die with the run.
     """
 
     def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None):
         config.validate()
         self.config = config
-        self.spec = spec
+        self.spec = copy.copy(spec)
+        self.spec.bounds = Bounds(spec.bounds.lower, spec.bounds.upper)
         self.rng = RngStream(config.seed if seed is None else seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
         self.total_iterations = self.counter.budget // config.convergence_size
-        self.vmax = config.vmax_factor * spec.bounds.span
+        vmax = config.vmax_factor * spec.bounds.span
+        self.speed = Bounds(-vmax, vmax)
         self.best_position: np.ndarray | None = None
         self.best_fitness = math.inf
         self.iteration = 0
@@ -206,28 +212,21 @@ class _Run:
         self.phase_log[-1].end_fe = self.counter.used
 
     def kinematics(self, omega: float) -> KinematicParams:
-        return KinematicParams(omega, self.config.c1, self.config.c2, self.vmax)
+        return KinematicParams(omega, self.config.c1, self.config.c2, self.speed)
 
     def diversity(self, swarm: Swarm) -> DiversityReading:
         return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
 
     def spawn(self, position: np.ndarray, fitness: float, size: int) -> Swarm:
         """A swarm spawned around a known-good solution, offered as it is born."""
-        swarm = spawn_artificial_swarm(position, fitness, size, self.spec, self.rng, self.counter, self.vmax)
+        swarm = spawn_artificial_swarm(position, fitness, size, self.spec, self.rng, self.counter, self.speed.upper)
         self.offer(swarm)
         return swarm
 
     def log(self, diversity: float, omega: float, er: float) -> None:
+        best_error = self.best_fitness - self.spec.optimum_value
         self.trace.append(
-            TracePoint(
-                fe=self.counter.used,
-                iteration=self.iteration,
-                phase=self.phase_log[-1].phase,
-                best_error=self.best_fitness - self.spec.optimum_value,
-                diversity=diversity,
-                omega=omega,
-                evolution_rate=er,
-            )
+            TracePoint(self.counter.used, self.iteration, self.phase_log[-1].phase, best_error, diversity, omega, er)
         )
 
     def result(self) -> RunResult:
@@ -278,7 +277,7 @@ def _explore(run: _Run) -> list[Swarm]:
     iterations = round(config.exploration_ratio * run.total_iterations)
     run.open_phase(EXPLORATION)
     subs = [
-        initialize_swarm(run.spec, config.sub_swarm_size, run.rng, run.vmax, counter)
+        initialize_swarm(run.spec, config.sub_swarm_size, run.rng, run.speed.upper, counter)
         for _ in range(config.exploration_size // config.sub_swarm_size)
     ]
     for sub in subs:
@@ -366,9 +365,9 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     diversity column is diagnostic only.
     """
     run = _Run(config, spec, seed)
-    counter, size = run.counter, config.convergence_size
+    spec, counter, size = run.spec, run.counter, config.convergence_size
     run.open_phase("gpso")
-    swarm = initialize_swarm(spec, size, run.rng, run.vmax, counter)
+    swarm = initialize_swarm(spec, size, run.rng, run.speed.upper, counter)
     run.offer(swarm)
     history = FitnessHistory(window=config.rate_window)
     run.log(run.diversity(swarm).hybrid, math.nan, math.nan)

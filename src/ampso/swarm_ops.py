@@ -14,11 +14,12 @@ and left the swarm as it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    Bounds,
     EvalCounter,
     ObjectiveSpec,
     RngStream,
@@ -40,14 +41,17 @@ __all__ = [
 SPAWN_SPREAD = 0.1
 
 
-@dataclass(frozen=True)
-class KinematicParams:
-    """Velocity-update coefficients and the per-dimension speed cap."""
+class KinematicParams(NamedTuple):
+    """Velocity-update coefficients and the per-dimension speed cap.
+
+    ``speed`` is the velocity box [-vmax, vmax]; as a :class:`Bounds` it
+    keeps the row blocks the clip uses from one step to the next.
+    """
 
     omega: float
     c1: float
     c2: float
-    vmax: np.ndarray
+    speed: Bounds
 
 
 def _clip_into(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
@@ -88,9 +92,9 @@ def pso_step(
     v *= params.omega
     v += r1
     v += r2
-    _clip_into(v, -params.vmax, params.vmax)
+    _clip_into(v, *params.speed.rows(len(x)))
     x += v
-    _clip_into(x, spec.bounds.lower, spec.bounds.upper)
+    _clip_into(x, *spec.bounds.rows(len(x)))
     if subset is not None:  # fancy indexing handed out copies
         swarm.velocities[sel] = v
         swarm.positions[sel] = x
@@ -128,7 +132,7 @@ def spawn_artificial_swarm(
     positions = rng.normal(0.0, SPAWN_SPREAD, size=(size, spec.dimension))
     positions *= bounds.span
     positions += seed_position
-    _clip_into(positions, bounds.lower, bounds.upper)
+    _clip_into(positions, *bounds.rows(size))
     velocities = rng.uniform(low=-1.0, high=1.0, size=(size, spec.dimension)) * vmax
     fitness = evaluate_batch(spec, positions, counter)
     return Swarm.fresh(positions, velocities, fitness, incumbent=(seed_position, seed_fitness))
@@ -146,7 +150,7 @@ def _install(swarm: Swarm, sel, positions: np.ndarray, fitness: np.ndarray) -> N
 
 def _worst_indices(current_fitness: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest fitness values; ties go to the lower index."""
-    return np.argsort(-current_fitness, kind="stable")[:n]
+    return (-current_fitness).argsort(kind="stable")[:n]
 
 
 def partial_reconstruct(
@@ -181,7 +185,7 @@ def partial_reconstruct(
     positions = np.empty((n_worst, swarm.dimension))
     positions[:] = swarm.global_best_position
     positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
-    _clip_into(positions, spec.bounds.lower, spec.bounds.upper)
+    _clip_into(positions, *spec.bounds.rows(n_worst))
     _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
 
 
@@ -206,5 +210,5 @@ def full_reconstruct(
     positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
     positions *= spec.bounds.span
     positions += swarm.global_best_position
-    _clip_into(positions, spec.bounds.lower, spec.bounds.upper)
+    _clip_into(positions, *spec.bounds.rows(swarm.size))
     _install(swarm, slice(None), positions, evaluate_batch(spec, positions, counter))

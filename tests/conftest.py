@@ -70,6 +70,13 @@ def half_nan_sphere(dim: int):
     return spec
 
 
+def half_inf_sphere(dim: int):
+    """The sphere on its default box, with a +inf objective wherever x0 > 0."""
+    spec = make_spec("sphere", dim)
+    spec.function = lambda x: np.where(x[..., 0] > 0, np.inf, np.sum(x * x, axis=-1))
+    return spec
+
+
 @st.composite
 def configs(draw):
     """Valid configs with small swarms, budgets from the floor up to 3000."""

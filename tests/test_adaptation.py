@@ -160,3 +160,10 @@ class TestLinearInertia:
     def test_clamped_past_total(self):
         assert linear_inertia(3000, 2500) == pytest.approx(0.4, abs=1e-15)
 
+    def test_same_value_as_start_end_form(self):
+        # the former start=0.9, end=0.4 keywords, written into the formula in the same order
+        start, end = 0.9, 0.4
+        for t in range(0, 2600):
+            frac = min(1.0, max(0.0, t / 2500))
+            assert linear_inertia(t, 2500) == start + (end - start) * frac
+

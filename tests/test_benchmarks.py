@@ -13,6 +13,43 @@ from ampso.benchmarks import (
 # direct formula evaluation in a scratch interpreter session, frozen here
 GRIEWANK_AT_PI_PI = 0.39923493512173125
 
+# the textbook forms, with np.sum/np.prod and fresh temporaries
+TEXTBOOK = {
+    "sphere": lambda x: np.sum(x * x, axis=-1),
+    "rosenbrock": lambda x: np.sum(
+        100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1
+    ),
+    "ackley": lambda x: (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / x.shape[-1]))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / x.shape[-1])
+        + 20.0
+        + np.e
+    ),
+    "rastrigin": lambda x: np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1),
+    "griewank": lambda x: (
+        1.0
+        + np.sum(x * x, axis=-1) / 4000.0
+        - np.prod(np.cos(x / np.sqrt(np.arange(1, x.shape[-1] + 1, dtype=float))), axis=-1)
+    ),
+    "schwefel_226": lambda x: 418.9828872724338 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1),
+}
+
+
+class TestTextbookForms:
+    @pytest.mark.parametrize("shape", [(40, 10), (5, 100), (10,), (3, 4, 7)])
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_bit_equal_to_textbook_form(self, name, shape):
+        entry = get_entry(name)
+        low, high = entry.default_bounds
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        for x in (rng.uniform(low, high, size=shape), rng.uniform(-1.0, 1.0, size=shape)):
+            before = x.copy()
+            fast, textbook = entry.function(x), TEXTBOOK[name](x)
+            assert np.shape(fast) == np.shape(textbook) == shape[:-1]
+            assert np.array_equal(fast, textbook)
+            assert np.array_equal(np.signbit(fast), np.signbit(textbook))
+            assert np.array_equal(x, before)  # the input block is never written
+
 
 class TestRegistryValues:
     @pytest.mark.parametrize("dim", [2, 10, 30])

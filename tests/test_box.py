@@ -91,7 +91,7 @@ def test_operators_keep_the_box_and_the_speed_cap(problem, n, names, omega, sigm
             swarm = spawn_artificial_swarm(*incumbent, n, spec, rng, counter, vmax)
         elif name == "pso_step":
             subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-            params = KinematicParams(omega, 1.49445, 1.49445, vmax)
+            params = KinematicParams(omega, 1.49445, 1.49445, Bounds(-vmax, vmax))
             pso_step(swarm, params, spec, rng, counter, None if subset is None else np.array(subset))
         elif name == "partial_reconstruct":
             partial_reconstruct(swarm, data.draw(st.integers(1, n), label="n_worst"), sigma, spec, rng, counter)

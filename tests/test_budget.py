@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampso.benchmarks import make_spec
-from ampso.core import BudgetExhausted, EvalCounter, RngStream, initialize_swarm
+from ampso.core import Bounds, BudgetExhausted, EvalCounter, RngStream, initialize_swarm
 from ampso.optimizer import run_ampso, run_gpso
 from ampso.swarm_ops import (
     KinematicParams,
@@ -42,7 +42,7 @@ def _operation(name: str, swarm, spec, vmax, data):
     if name == "pso_step":
         subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         cost = n if subset is None else len(subset)
-        params = KinematicParams(0.7, 1.49445, 1.49445, vmax)
+        params = KinematicParams(0.7, 1.49445, 1.49445, Bounds(-vmax, vmax))
         sel = None if subset is None else np.array(subset)
         return cost, lambda rng, counter: pso_step(swarm, params, spec, rng, counter, sel)
     if name == "partial_reconstruct":

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from ampso import harness
+from ampso import cli, harness
 from ampso.cli import main
+from conftest import half_inf_sphere
 
 
 def run_cli(argv, capsys):
@@ -71,6 +72,15 @@ class TestRunCommand:
         code, out, err = run_cli(["run", "--algo", algo, "--fe-budget", "25"], capsys)
         assert code == 2
         assert "fe_budget" in err and not out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", ["ampso", "gpso"])
+    def test_infinite_objective_exits_1(self, capsys, monkeypatch, algo):
+        monkeypatch.setattr(cli, "make_spec", lambda function, dim: half_inf_sphere(dim))
+        args = ["run", "--algo", algo, "--function", "sphere", "--dim", "2"]
+        code, out, err = run_cli(args + BUDGET_ARGS, capsys)
+        assert code == 1 and not out
+        assert re.fullmatch(r"error: objective returned an infinite value for \d+ of \d+ points\n", err)
 
     def test_gpso_selectable(self, capsys):
         code, out, _ = run_cli(
@@ -313,6 +323,16 @@ class TestBenchCommand:
         code, out, _ = run_cli(args + ["--out", str(tmp_path / "b")] + BUDGET_ARGS, capsys)
         assert code == 1
         assert "FAILED (run 0 (seed 3) failed: RuntimeError: objective blew up)" in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", ["ampso", "gpso"])
+    def test_infinite_objective_fails_its_cell(self, tmp_path, capsys, monkeypatch, algo):
+        monkeypatch.setattr(harness, "make_spec", lambda function, dim: half_inf_sphere(dim))
+        args = ["bench", "--algo", algo, "--function", "sphere", "--dim", "2", "--runs", "2", "--seed", "3"]
+        code, out, _ = run_cli(args + ["--out", str(tmp_path / "b")] + BUDGET_ARGS, capsys)
+        assert code == 1
+        reason = r"run 0 \(seed 3\) failed: ValueError: objective returned an infinite value for \d+ of \d+ points"
+        assert re.search(rf"FAILED \({reason}\)", out)
 
     def test_campaign_reproducibility(self, tmp_path, capsys):
         args = [

@@ -40,6 +40,29 @@ class TestBounds:
         bounds = Bounds(np.array([0.0, -2.0]), np.array([3.0, 2.0]))
         assert bounds.diagonal_length == pytest.approx(5.0, abs=1e-15)
 
+    def test_vectors_are_read_only_copies(self):
+        lower, upper = np.array([0.0, -2.0]), np.array([3.0, 2.0])
+        bounds = Bounds(lower, upper)
+        lower[0] = -50.0
+        assert bounds.lower[0] == 0.0
+        assert np.array_equal(bounds.span, [3.0, 4.0])
+        for vector in (bounds.lower, bounds.upper, bounds.span):
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 30, 40])
+    def test_row_blocks_match_broadcast_rows(self, n):
+        bounds = Bounds(np.array([-3.0, 0.0, 10.0]), np.array([1.0, 2.0, 11.0]))
+        blocks = (*bounds.rows(n), bounds.grid_scale(n, 7))
+        vectors = (bounds.lower, bounds.upper, 7 / bounds.span)
+        for block, vector in zip(blocks, vectors):
+            assert block.shape == (n, 3) and block.flags.c_contiguous and not block.flags.writeable
+            assert np.array_equal(block, np.broadcast_to(vector, (n, 3)))
+        # built once per row count (and bin count), kept apart per key
+        assert bounds.rows(n)[0] is blocks[0] and bounds.grid_scale(n, 7) is blocks[2]
+        assert bounds.rows(n + 1)[0].shape == (n + 1, 3)
+        assert bounds.grid_scale(n, 8)[0, 0] == 8 / 4.0
+
 
 class TestClampToBounds:
     def test_clips_outliers(self):
@@ -121,6 +144,29 @@ class TestEvaluate:
         spec.function = lambda block: np.array([1.0, np.nan, np.nan])
         with pytest.raises(ValueError, match="objective returned NaN for 2 of 3 points"):
             evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, np.inf, 2.0], "objective returned an infinite value for 1 of 3 points"),
+            ([-np.inf, 0.0, -np.inf], "objective returned an infinite value for 2 of 3 points"),
+            ([np.inf, -np.inf, 1.0], "objective returned an infinite value for 2 of 3 points"),
+            ([np.inf, np.nan, 1.0], "objective returned NaN for 1 of 3 points"),
+        ],
+    )
+    def test_infinite_objective_rejected(self, values, message):
+        spec = make_spec("sphere", 2)
+        spec.function = lambda block: np.array(values)
+        with pytest.raises(ValueError, match=message):
+            evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_block_with_overflowing_sum_passes(self):
+        spec = make_spec("sphere", 2)
+        spec.function = lambda block: np.array([1e308, 1e308, -5.0])
+        fitness = evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
+        assert np.array_equal(fitness, [1e308, 1e308, -5.0])
 
 
 class TestObjectiveSpec:

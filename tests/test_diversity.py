@@ -227,10 +227,15 @@ class TestEntropyProperties:
             )
 
 
+# one box per dimension for the whole session: its cached row blocks then
+# serve swarms of every size and bin count drawn below
+BOXES = {d: Bounds.cube(-5.0, 5.0, d) for d in (1, 10, 100)}
+
+
 @st.composite
 def swarm_cases(draw):
     """Random swarms over [-5, 5]^D with edge values, collapse and flat fitness."""
-    n = draw(st.sampled_from([1, 5, 40]))
+    n = draw(st.sampled_from([1, 5, 30, 40]))
     d = draw(st.sampled_from([1, 10, 100]))
     bins = draw(st.integers(2, 20))
     coordinate = st.one_of(st.sampled_from([-5.0, 5.0, 0.0]), st.floats(-5.0, 5.0))
@@ -240,7 +245,7 @@ def swarm_cases(draw):
     fitness = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
     if draw(st.booleans()):
         fitness[:] = fitness[0]
-    return Bounds.cube(-5.0, 5.0, d), build_swarm(positions, fitness), bins
+    return BOXES[d], build_swarm(positions, fitness), bins
 
 
 class TestFusedHybridMatchesReference:

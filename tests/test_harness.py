@@ -15,7 +15,7 @@ from ampso.harness import (
     write_campaign_outputs,
     write_trace_csv,
 )
-from ampso.optimizer import AmpsoConfig, run_ampso
+from ampso.optimizer import AmpsoConfig, PhaseSpan, RunResult, TracePoint, run_ampso
 from ampso.benchmarks import make_spec
 from conftest import half_nan_sphere
 
@@ -219,3 +219,22 @@ class TestTraceCsv:
         # endpoints survive thinning
         assert sparse_rows[0] == dense_rows[0]
         assert sparse_rows[-1] == dense_rows[-1]
+
+    @pytest.mark.parametrize("stride", [None, 1, 7])
+    def test_bytes_match_csv_writer(self, tmp_path, stride):
+        points = [
+            TracePoint(5, 0, "exploration", 12.5, 0.75, math.nan, math.nan),
+            TracePoint(10, 1, "exploration", math.inf, -0.0, 0.9, math.nan),
+            TracePoint(14, 2, "exploitation", 5e-324, 0.0, 0.6, -math.inf),
+            TracePoint(30, 3, "exploitation", 1e300, 1 / 3, 0.5, -0.0),
+            TracePoint(70, 4, "convergence", 0.0, 2.5e-17, 0.8, 1.0),
+        ]
+        result = RunResult(np.zeros(2), 0.0, 70, points, [PhaseSpan("exploration", 0, 70)])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), result, stride=stride)
+        kept = points if stride != 7 else [points[0], points[2], points[3], points[4]]
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(TRACE_COLUMNS)
+            writer.writerows((p.fe, p.iteration, p.phase, *map(repr, p[3:])) for p in kept)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 import ampso.optimizer as optimizer_module
 from ampso.benchmarks import make_spec
+from ampso.core import Bounds
 from ampso.optimizer import (
     CONVERGENCE,
     EXPLOITATION,
@@ -15,7 +17,7 @@ from ampso.optimizer import (
     run_ampso,
     run_gpso,
 )
-from conftest import half_nan_sphere
+from conftest import half_inf_sphere, half_nan_sphere
 
 
 def phase_word(span) -> str:
@@ -292,3 +294,32 @@ class TestRunGpso:
 def test_nan_objective_rejected(run):
     with pytest.raises(ValueError, match=r"objective returned NaN for \d+ of \d+ points"):
         run(AmpsoConfig(fe_budget=3000), half_nan_sphere(2), seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_infinite_objective_rejected(run):
+    # an infinite fitness would make the diversity reading multiply inf by 0 and bin the NaN
+    with pytest.raises(ValueError, match=r"objective returned an infinite value for \d+ of \d+ points"):
+        run(AmpsoConfig(fe_budget=3000), half_inf_sphere(2), seed=0)
+
+
+def test_operands_never_cross_between_boxes():
+    # same dimension, different boxes: every run must match a first run on a fresh spec,
+    # however often specs are dropped and rebuilt in between
+    boxes = {"wide": Bounds.cube(-100.0, 100.0, 3), "narrow": Bounds(np.full(3, -5.0), np.array([5.0, 2.0, 7.0]))}
+    config = AmpsoConfig(fe_budget=2000)
+
+    def fresh(name, run):
+        bounds = boxes[name]
+        return run(config, make_spec("rastrigin", 3, bounds=Bounds(bounds.lower, bounds.upper)), seed=5)
+
+    expected = {(name, run): fresh(name, run) for name in boxes for run in (run_ampso, run_gpso)}
+    for _ in range(3):
+        for (name, run), reference in expected.items():
+            result = fresh(name, run)
+            gc.collect()
+            # repr: NaN columns compare equal, and so must the sign of every zero
+            assert [tuple(map(repr, p)) for p in result.trace] == [tuple(map(repr, p)) for p in reference.trace]
+            assert np.array_equal(result.best_position, reference.best_position)
+            assert result.best_error == reference.best_error

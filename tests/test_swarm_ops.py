@@ -22,7 +22,8 @@ def sphere_spec(dim, low=-100.0, high=100.0):
 
 
 def params_for(spec, omega=0.5, c=1.49445):
-    return KinematicParams(omega=omega, c1=c, c2=c, vmax=0.01 * spec.bounds.span)
+    vmax = 0.01 * spec.bounds.span
+    return KinematicParams(omega=omega, c1=c, c2=c, speed=Bounds(-vmax, vmax))
 
 
 class TestPsoStep:
@@ -84,10 +85,11 @@ class TestPsoStep:
     def test_positions_stay_in_bounds(self):
         spec = sphere_spec(4, low=-1.0, high=1.0)
         rng = RngStream(4)
-        swarm = initialize_swarm(spec, 20, rng, 0.5 * spec.bounds.span, EvalCounter(budget=2000))
+        vmax = 0.5 * spec.bounds.span
+        swarm = initialize_swarm(spec, 20, rng, vmax, EvalCounter(budget=2000))
         counter = EvalCounter(budget=2000)
         for _ in range(50):
-            pso_step(swarm, KinematicParams(0.9, 2.0, 2.0, 0.5 * spec.bounds.span), spec, rng, counter)
+            pso_step(swarm, KinematicParams(0.9, 2.0, 2.0, Bounds(-vmax, vmax)), spec, rng, counter)
             assert np.all(swarm.positions >= -1.0) and np.all(swarm.positions <= 1.0)
             assert np.all(np.abs(swarm.velocities) <= 0.5 * spec.bounds.span)
 
@@ -316,7 +318,7 @@ class TestPsoStepPaths:
         whole, listed = copy.deepcopy(base), copy.deepcopy(base)
         rng_whole, rng_listed = RngStream(seed + 1), RngStream(seed + 1)
         counter_whole, counter_listed = EvalCounter(budget=10 * n), EvalCounter(budget=10 * n)
-        params = KinematicParams(0.7, 1.49445, 1.49445, vmax)
+        params = KinematicParams(0.7, 1.49445, 1.49445, Bounds(-vmax, vmax))
         for _ in range(steps):
             pso_step(whole, params, spec, rng_whole, counter_whole)
             pso_step(listed, params, spec, rng_listed, counter_listed, subset=np.arange(n))
@@ -332,7 +334,7 @@ class TestPsoStepPaths:
         spec = make_spec("rastrigin", 10)
         vmax = 0.01 * spec.bounds.span
         swarm = initialize_swarm(spec, 40, RngStream(8), vmax, EvalCounter(budget=40))
-        params = KinematicParams(0.7, 1.49445, 1.49445, vmax)
+        params = KinematicParams(0.7, 1.49445, 1.49445, Bounds(-vmax, vmax))
         draws = RngStream(9)
         r1, r2 = draws.uniform(size=(40, 10)), draws.uniform(size=(40, 10))
         x = swarm.positions.copy()
