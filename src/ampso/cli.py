@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from .benchmarks import make_spec
 from .harness import (
@@ -57,7 +58,7 @@ def load_config(path: str | None, env: dict[str, str], cli_overrides: dict) -> A
             raise UsageError("config file must hold a JSON object")
         overrides.update(data)
 
-    for name in AmpsoConfig.field_names():
+    for name in (f.name for f in fields(AmpsoConfig)):
         raw = env.get(ENV_PREFIX + name.upper())
         if raw is not None:
             try:

@@ -277,20 +277,28 @@ class RngStream:
 def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCounter) -> np.ndarray:
     """Evaluate a (n, D) block of positions, spending n evaluations.
 
-    An objective that returns NaN or an infinite value for any point is
-    rejected with a ``ValueError``: such a fitness cannot be ranked
-    against the others or binned by the diversity reading.  One sum gates
-    the exact scan, so a finite block whose sum overflows still passes.
-    The sum runs over Python floats, which raise no floating-point
-    warnings and, for a few dozen values, cost less than a numpy sum.
+    The objective sees a read-only block, so it cannot move the swarm, and
+    its result is copied, so the swarm owns its fitness.  A result that is
+    not one value per point, shape ``(n,)``, is rejected with a
+    ``ValueError`` naming its shape.  So is a NaN or an infinite value for
+    any point: such a fitness cannot be ranked against the others or
+    binned by the diversity reading.  One sum gates the exact scan, so a
+    finite block whose sum overflows still passes.  The sum runs over
+    Python floats, which raise no floating-point warnings and, for a few
+    dozen values, cost less than a numpy sum.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != spec.dimension:
         raise ValueError(f"expected an (n, {spec.dimension}) position block")
-    counter.spend(positions.shape[0])
-    fitness = np.asarray(spec.function(spec.transform(positions)), dtype=float)
-    if not math.isfinite(sum(fitness.ravel().tolist())):
-        _reject_non_finite(fitness, len(positions))
+    n = len(positions)
+    counter.spend(n)
+    frame = spec.transform(positions).view()
+    frame.setflags(write=False)
+    fitness = np.array(spec.function(frame), dtype=float)
+    if fitness.shape != (n,):
+        raise ValueError(f"objective returned shape {fitness.shape} for {n} points; expected ({n},)")
+    if not math.isfinite(sum(fitness.tolist())):
+        _reject_non_finite(fitness, n)
     return fitness
 
 

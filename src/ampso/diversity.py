@@ -13,6 +13,7 @@ All entropies use base-Q logarithms so their range is exactly [0, 1].
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,7 +71,10 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
 
     Returns a number in [0, 1]: 0 when one cell holds everything (or the
     range is degenerate), 1 when the cells are equally occupied.  Empty
-    cells contribute nothing (0 log 0 := 0).
+    cells contribute nothing (0 log 0 := 0).  A range or a cell scale
+    ``bins / (hi - lo)`` past the float range is binned as everything
+    divided by the largest magnitude of the range, so it reads without a
+    floating-point warning.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -82,6 +86,9 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
         raise ValueError("range upper end must not be below its lower end")
     if hi == lo:
         return 0.0
+    if not 0.0 < bins / (hi - lo) < math.inf:  # bin over the largest magnitude, whose range and scale fit
+        top = max(abs(lo), abs(hi))
+        values, lo, hi = values / top, lo / top, hi / top
     counts = _bin_counts(values[:, None], np.array([lo]), np.array([hi]), bins)
     return float(_entropy_from_counts(counts, values.size, bins)[0])
 
@@ -135,7 +142,8 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     one flat block, the (n, D) positions over the box followed by the n
     fitness values over their [min, max], one ``bincount`` (whose counts
     do not depend on the order of the values), and p log p read from a
-    table indexed by count.
+    table indexed by count.  A fitness range past the float range takes
+    the same detour as in :func:`histogram_entropy`.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -144,15 +152,22 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     if bins < 2:
         raise ValueError("bins must be at least 2")
     plogp, offsets, neg_log_bins = _histogram_constants(n, d, bins)
-    f_lo, f_hi = np.minimum.reduce(fitness), np.maximum.reduce(fitness)
-    f_width = f_hi - f_lo
+    # in Python floats a range or scale past the float range reads inf or 0, without a warning
+    f_lo, f_hi = float(np.minimum.reduce(fitness)), float(np.maximum.reduce(fitness))
+    f_scale = bins / (f_hi - f_lo) if f_hi != f_lo else 1.0
 
     block = np.empty(n * (d + 1))
     cells, fitness_cells = block[: n * d].reshape(n, d), block[n * d :]
     np.subtract(positions, bounds.rows(n)[0], out=cells)
     cells *= bounds.grid_scale(n, bins)
-    np.subtract(fitness, f_lo, out=fitness_cells)
-    fitness_cells *= bins / (f_width if f_width > 0 else 1.0)
+    if 0.0 < f_scale < math.inf:
+        np.subtract(fitness, f_lo, out=fitness_cells)
+        fitness_cells *= f_scale
+    else:  # bin the fitness over its largest magnitude, whose range and scale fit
+        top = max(abs(f_lo), abs(f_hi))
+        np.divide(fitness, top, out=fitness_cells)
+        fitness_cells -= f_lo / top
+        fitness_cells *= bins / (f_hi / top - f_lo / top)
     # int cast truncates toward zero; the clamps repair both edges
     idx = block.astype(np.intp)
     np.maximum(idx, 0, out=idx)

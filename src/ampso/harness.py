@@ -21,11 +21,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .benchmarks import get_entry, make_spec
-from .optimizer import AmpsoConfig, RunResult, run_ampso, run_gpso
+from .optimizer import AmpsoConfig, RunResult, TracePoint, run_ampso, run_gpso
 
 __all__ = [
     "ALGORITHMS",
@@ -41,9 +42,7 @@ __all__ = [
 
 ALGORITHMS = {"ampso": run_ampso, "gpso": run_gpso}
 
-TRACE_COLUMNS = ("fe", "iteration", "phase", "best_error", "diversity", "omega", "er")
-
-RUNS_COLUMNS = ("algorithm", "function", "dim", "run", "seed", "best_error", "fe_used")
+TRACE_COLUMNS = TracePoint._fields
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,9 @@ class CampaignSpec:
                 yield (algorithm, function, dim, run, self.base_seed + run, self.config)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
+    """One run, fields in runs.csv column order; ``error`` is not written."""
+
     algorithm: str
     function: str
     dim: int
@@ -131,17 +131,22 @@ class RunRecord:
     seed: int
     best_error: float
     fe_used: int
-    error: str | None = None  # "type: message" of a failed run; not written to runs.csv
+    error: str | None = None  # "type: message" of a failed run
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
+    """One cell; the fields before ``stats`` are its summary key columns."""
+
     algorithm: str
     function: str
     dim: int
     runs: int
     stats: StatsSummary
     error: str | None = None  # set when a run failed: which one, and why
+
+
+RUNS_COLUMNS = RunRecord._fields[:-1]
+CELL_KEYS = CellResult._fields[: CellResult._fields.index("stats")]
 
 
 def execute_run(task) -> RunRecord:
@@ -171,10 +176,10 @@ def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResu
     else:
         outcomes = [_execute_or_flag(task) for task in tasks]
 
-    records = sorted(outcomes, key=lambda r: (r.algorithm, r.function, r.dim, r.run))
+    records = sorted(outcomes, key=lambda r: r[:4])  # algorithm, function, dim, run
     cells: list[CellResult] = []
     for cell in campaign.cells():
-        cell_records = [r for r in records if (r.algorithm, r.function, r.dim) == cell]
+        cell_records = [r for r in records if r[:3] == cell]
         failed = next((r for r in cell_records if r.error), None)
         if failed is None:
             stats, error = StatsSummary.from_errors([r.best_error for r in cell_records]), None
@@ -216,21 +221,15 @@ def write_campaign_outputs(
         runs_path,
         _csv_text(
             RUNS_COLUMNS,
-            [
-                (r.algorithm, r.function, r.dim, r.run, r.seed, repr(r.best_error), r.fe_used)
-                for r in records
-            ],
+            [r._replace(best_error=repr(r.best_error))[: len(RUNS_COLUMNS)] for r in records],
         ),
     )
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    summary_header = ("algorithm", "function", "dim", "runs", *(f.name for f in fields(StatsSummary)))
+    summary_header = (*CELL_KEYS, *(f.name for f in fields(StatsSummary)))
     _atomic_write(
         summary_path,
-        _csv_text(
-            summary_header,
-            [(c.algorithm, c.function, c.dim, c.runs, *map(repr, astuple(c.stats))) for c in cells],
-        ),
+        _csv_text(summary_header, [(*c[: len(CELL_KEYS)], *map(repr, astuple(c.stats))) for c in cells]),
     )
 
     json_path = os.path.join(out_dir, "summary.json")
@@ -242,10 +241,7 @@ def write_campaign_outputs(
         },
         "cells": [
             {
-                "algorithm": c.algorithm,
-                "function": c.function,
-                "dim": c.dim,
-                "runs": c.runs,
+                **dict(zip(CELL_KEYS, c)),
                 **{name: _json_number(value) for name, value in asdict(c.stats).items()},
                 **({"error": c.error} if c.error else {}),
             }
@@ -276,7 +272,7 @@ def write_trace_csv(path: str, result: RunResult, stride: int | None = None) -> 
     # which csv would quote, so plain joins write the same bytes faster
     lines = [",".join(TRACE_COLUMNS)]
     lines += [
-        f"{p.fe},{p.iteration},{p.phase},{p.best_error!r},{p.diversity!r},{p.omega!r},{p.evolution_rate!r}"
+        f"{p.fe},{p.iteration},{p.phase},{p.best_error!r},{p.diversity!r},{p.omega!r},{p.er!r}"
         for p in points
     ]
     lines.append("")

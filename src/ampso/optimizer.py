@@ -19,7 +19,7 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -125,19 +125,14 @@ class AmpsoConfig:
     def resolved_budget(self, dimension: int) -> int:
         return self.fe_budget if self.fe_budget is not None else 10000 * dimension
 
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
     def with_overrides(self, **overrides) -> "AmpsoConfig":
-        unknown = set(overrides) - set(self.field_names())
+        unknown = set(overrides) - {f.name for f in fields(self)}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         return replace(self, **overrides)
 
 
-@dataclass
-class PhaseSpan:
+class PhaseSpan(NamedTuple):
     """One contiguous stretch of a phase, in evaluation coordinates."""
 
     phase: str
@@ -146,9 +141,9 @@ class PhaseSpan:
 
 
 class TracePoint(NamedTuple):
-    """One logged iteration, fields in trace-CSV column order.
+    """One logged iteration; the field names are the trace-CSV header.
 
-    ``best_error`` is the best-ever error so far.
+    ``best_error`` is the best-ever error so far, ``er`` the evolution rate.
     """
 
     fe: int
@@ -157,7 +152,7 @@ class TracePoint(NamedTuple):
     best_error: float
     diversity: float
     omega: float
-    evolution_rate: float
+    er: float
 
 
 @dataclass
@@ -174,6 +169,11 @@ class RunResult:
 class _Run:
     """What every swarm of one run shares: budget, randomness, velocity
     cap, best-ever solution, trace and phase log.
+
+    The run's record is made here and nowhere else: :meth:`fresh` and
+    :meth:`spawn` offer a swarm's best as it is born, :meth:`log` offers
+    each stepped swarm's best and appends the iteration's trace row, and
+    :meth:`open_phase` notes where a phase starts.
 
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
@@ -197,7 +197,7 @@ class _Run:
         self.best_fitness = math.inf
         self.iteration = 0
         self.trace: list[TracePoint] = []
-        self.phase_log: list[PhaseSpan] = []
+        self.phase_starts: list[tuple[str, int]] = []
 
     def offer(self, swarm: Swarm) -> None:
         """Take the swarm's global best if it beats the best-ever solution."""
@@ -206,10 +206,7 @@ class _Run:
             self.best_position = swarm.global_best_position.copy()
 
     def open_phase(self, phase: str) -> None:
-        self.phase_log.append(PhaseSpan(phase, self.counter.used, self.counter.used))
-
-    def close_phase(self) -> None:
-        self.phase_log[-1].end_fe = self.counter.used
+        self.phase_starts.append((phase, self.counter.used))
 
     def kinematics(self, omega: float) -> KinematicParams:
         return KinematicParams(omega, self.config.c1, self.config.c2, self.speed)
@@ -217,25 +214,35 @@ class _Run:
     def diversity(self, swarm: Swarm) -> DiversityReading:
         return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
 
+    def fresh(self, size: int) -> Swarm:
+        """A uniform-random swarm over the box, offered as it is born."""
+        swarm = initialize_swarm(self.spec, size, self.rng, self.speed.upper, self.counter)
+        self.offer(swarm)
+        return swarm
+
     def spawn(self, position: np.ndarray, fitness: float, size: int) -> Swarm:
         """A swarm spawned around a known-good solution, offered as it is born."""
         swarm = spawn_artificial_swarm(position, fitness, size, self.spec, self.rng, self.counter, self.speed.upper)
         self.offer(swarm)
         return swarm
 
-    def log(self, diversity: float, omega: float, er: float) -> None:
+    def log(self, swarms: Sequence[Swarm], diversity: float, omega: float, er: float) -> None:
+        """Close an iteration: offer each swarm's best, then append its trace row."""
+        for swarm in swarms:
+            self.offer(swarm)
         best_error = self.best_fitness - self.spec.optimum_value
-        self.trace.append(
-            TracePoint(self.counter.used, self.iteration, self.phase_log[-1].phase, best_error, diversity, omega, er)
-        )
+        phase = self.phase_starts[-1][0]
+        self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
 
     def result(self) -> RunResult:
+        """The run's outcome; each phase span ends where the next one starts."""
+        ends = [start for _, start in self.phase_starts[1:]] + [self.counter.used]
         return RunResult(
             best_position=self.best_position,
             best_error=self.best_fitness - self.spec.optimum_value,
             fe_used=self.counter.used,
             trace=self.trace,
-            phase_log=self.phase_log,
+            phase_log=[PhaseSpan(phase, start, end) for (phase, start), end in zip(self.phase_starts, ends)],
         )
 
 
@@ -276,14 +283,9 @@ def _explore(run: _Run) -> list[Swarm]:
     config, counter = run.config, run.counter
     iterations = round(config.exploration_ratio * run.total_iterations)
     run.open_phase(EXPLORATION)
-    subs = [
-        initialize_swarm(run.spec, config.sub_swarm_size, run.rng, run.speed.upper, counter)
-        for _ in range(config.exploration_size // config.sub_swarm_size)
-    ]
-    for sub in subs:
-        run.offer(sub)
+    subs = [run.fresh(config.sub_swarm_size) for _ in range(config.exploration_size // config.sub_swarm_size)]
     if not run.trace:
-        run.log(float(np.mean([run.diversity(sub).hybrid for sub in subs])), math.nan, math.nan)
+        run.log(subs, float(np.mean([run.diversity(sub).hybrid for sub in subs])), math.nan, math.nan)
 
     t = 0
     while t < iterations and counter.remaining >= config.exploration_size:
@@ -296,10 +298,7 @@ def _explore(run: _Run) -> list[Swarm]:
             pso_step(sub, run.kinematics(w), run.spec, run.rng, counter)
             diversities.append(e)
             omegas.append(w)
-        for sub in subs:
-            run.offer(sub)
-        run.log(float(np.mean(diversities)), float(np.mean(omegas)), math.nan)
-    run.close_phase()
+        run.log(subs, float(np.mean(diversities)), float(np.mean(omegas)), math.nan)
     return subs
 
 
@@ -323,11 +322,9 @@ def _exploit(run: _Run, seed: Swarm) -> None:
         pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
         history.record(swarm.global_best_fitness)
         er = evolution_rate(history)
-        run.offer(swarm)
-        run.log(reading.hybrid, omega, er)
+        run.log((swarm,), reading.hybrid, omega, er)
         if er < config.stagnation_threshold:
             break
-    run.close_phase()
 
 
 def _converge(run: _Run) -> None:
@@ -352,9 +349,7 @@ def _converge(run: _Run) -> None:
             stalled = 0
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
-        run.offer(swarm)
-        run.log(reading.hybrid, omega, er)
-    run.close_phase()
+        run.log((swarm,), reading.hybrid, omega, er)
 
 
 def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
@@ -367,17 +362,14 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     run = _Run(config, spec, seed)
     spec, counter, size = run.spec, run.counter, config.convergence_size
     run.open_phase("gpso")
-    swarm = initialize_swarm(spec, size, run.rng, run.speed.upper, counter)
-    run.offer(swarm)
+    swarm = run.fresh(size)
     history = FitnessHistory(window=config.rate_window)
-    run.log(run.diversity(swarm).hybrid, math.nan, math.nan)
+    run.log((swarm,), run.diversity(swarm).hybrid, math.nan, math.nan)
     while counter.remaining >= size:
         run.iteration += 1
         omega = linear_inertia(run.iteration, run.total_iterations)
         reading = run.diversity(swarm)
         pso_step(swarm, run.kinematics(omega), spec, run.rng, counter)
         history.record(swarm.global_best_fitness)
-        run.offer(swarm)
-        run.log(reading.hybrid, omega, evolution_rate(history))
-    run.close_phase()
+        run.log((swarm,), reading.hybrid, omega, evolution_rate(history))
     return run.result()

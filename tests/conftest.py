@@ -6,6 +6,14 @@ from ampso.core import Swarm
 from ampso.optimizer import AmpsoConfig
 
 
+OPERATIONS = ["initialize_swarm", "spawn_artificial_swarm", "pso_step", "partial_reconstruct", "full_reconstruct"]
+
+
+def assert_in_box_and_capped(swarm, bounds, vmax):
+    assert np.all(swarm.positions >= bounds.lower) and np.all(swarm.positions <= bounds.upper)
+    assert np.all(np.abs(swarm.velocities) <= vmax)
+
+
 def build_swarm(positions, current_fitness=None) -> Swarm:
     """Swarm with consistent state from a position block (tests only)."""
     positions = np.asarray(positions, dtype=float)
@@ -63,18 +71,37 @@ class StubRng:
         return np.arange(n)
 
 
+def sphere_with(dim: int, function):
+    """The sphere's spec on its default box, with ``function`` as the objective."""
+    spec = make_spec("sphere", dim)
+    spec.function = function
+    return spec
+
+
 def half_nan_sphere(dim: int):
     """The sphere on its default box, with a NaN objective wherever x0 > 0."""
-    spec = make_spec("sphere", dim)
-    spec.function = lambda x: np.where(x[..., 0] > 0, np.nan, np.sum(x * x, axis=-1))
-    return spec
+    return sphere_with(dim, lambda x: np.where(x[..., 0] > 0, np.nan, np.sum(x * x, axis=-1)))
 
 
 def half_inf_sphere(dim: int):
     """The sphere on its default box, with a +inf objective wherever x0 > 0."""
-    spec = make_spec("sphere", dim)
-    spec.function = lambda x: np.where(x[..., 0] > 0, np.inf, np.sum(x * x, axis=-1))
-    return spec
+    return sphere_with(dim, lambda x: np.where(x[..., 0] > 0, np.inf, np.sum(x * x, axis=-1)))
+
+
+def scaling_sphere(x):
+    """Scales its input in place, then returns the sphere of the result."""
+    x *= 1000.0
+    return np.sum(x * x, axis=-1)
+
+
+def column_sphere(x):
+    """The sphere as an (n, 1) column instead of one value per point."""
+    return np.sum(x * x, axis=-1, keepdims=True)
+
+
+def total_sphere(x):
+    """One number for the whole batch instead of one value per point."""
+    return np.float64(np.sum(x * x))
 
 
 @st.composite

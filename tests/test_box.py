@@ -22,14 +22,7 @@ from ampso.swarm_ops import (
     pso_step,
     spawn_artificial_swarm,
 )
-from conftest import configs
-
-OPERATIONS = ["initialize_swarm", "spawn_artificial_swarm", "pso_step", "partial_reconstruct", "full_reconstruct"]
-
-
-def assert_in_box_and_capped(swarm, bounds, vmax):
-    assert np.all(swarm.positions >= bounds.lower) and np.all(swarm.positions <= bounds.upper)
-    assert np.all(np.abs(swarm.velocities) <= vmax)
+from conftest import OPERATIONS, assert_in_box_and_capped, configs
 
 
 @st.composite

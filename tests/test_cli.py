@@ -6,7 +6,7 @@ import pytest
 
 from ampso import cli, harness
 from ampso.cli import main
-from conftest import half_inf_sphere
+from conftest import column_sphere, half_inf_sphere, scaling_sphere, sphere_with, total_sphere
 
 
 def run_cli(argv, capsys):
@@ -81,6 +81,22 @@ class TestRunCommand:
         code, out, err = run_cli(args + BUDGET_ARGS, capsys)
         assert code == 1 and not out
         assert re.fullmatch(r"error: objective returned an infinite value for \d+ of \d+ points\n", err)
+
+    @pytest.mark.parametrize("algo", ["ampso", "gpso"])
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            (scaling_sphere, r"output array is read-only"),
+            (total_sphere, r"objective returned shape \(\) for \d+ points; expected \(\d+,\)"),
+            (column_sphere, r"objective returned shape \(\d+, 1\) for \d+ points; expected \(\d+,\)"),
+        ],
+    )
+    def test_objective_contract_breach_exits_1(self, capsys, monkeypatch, algo, objective, message):
+        monkeypatch.setattr(cli, "make_spec", lambda function, dim: sphere_with(dim, objective))
+        args = ["run", "--algo", algo, "--function", "sphere", "--dim", "2"]
+        code, out, err = run_cli(args + BUDGET_ARGS, capsys)
+        assert code == 1 and not out
+        assert re.fullmatch(rf"error: {message}\n", err)
 
     def test_gpso_selectable(self, capsys):
         code, out, _ = run_cli(
@@ -333,6 +349,18 @@ class TestBenchCommand:
         assert code == 1
         reason = r"run 0 \(seed 3\) failed: ValueError: objective returned an infinite value for \d+ of \d+ points"
         assert re.search(rf"FAILED \({reason}\)", out)
+
+    @pytest.mark.parametrize("algo", ["ampso", "gpso"])
+    @pytest.mark.parametrize(
+        "objective, message",
+        [(scaling_sphere, r"output array is read-only"), (column_sphere, r"objective returned shape \(\d+, 1\)")],
+    )
+    def test_objective_contract_breach_fails_its_cell(self, tmp_path, capsys, monkeypatch, algo, objective, message):
+        monkeypatch.setattr(harness, "make_spec", lambda function, dim: sphere_with(dim, objective))
+        args = ["bench", "--algo", algo, "--function", "sphere", "--dim", "2", "--runs", "2", "--seed", "3"]
+        code, out, _ = run_cli(args + ["--out", str(tmp_path / "b")] + BUDGET_ARGS, capsys)
+        assert code == 1
+        assert re.search(rf"FAILED \(run 0 \(seed 3\) failed: ValueError: {message}", out)
 
     def test_campaign_reproducibility(self, tmp_path, capsys):
         args = [

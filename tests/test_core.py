@@ -11,6 +11,7 @@ from ampso.core import (
 )
 from ampso.benchmarks import make_spec
 from ampso.swarm_ops import _clip_into
+from conftest import column_sphere, scaling_sphere, sphere_with, total_sphere
 
 
 def clipped(position, bounds: Bounds) -> np.ndarray:
@@ -167,6 +168,48 @@ class TestEvaluate:
         spec.function = lambda block: np.array([1e308, 1e308, -5.0])
         fitness = evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
         assert np.array_equal(fitness, [1e308, 1e308, -5.0])
+
+    @pytest.mark.parametrize("shift", [None, np.array([0.5, -0.5])])
+    def test_objective_cannot_write_its_input(self, shift):
+        spec = sphere_with(2, scaling_sphere)
+        spec.shift = shift
+        positions = np.full((3, 2), 0.25)
+        with pytest.raises(ValueError, match="read-only"):
+            evaluate_batch(spec, positions, EvalCounter(budget=10))
+        assert np.all(positions == 0.25)
+
+    @pytest.mark.parametrize(
+        "objective, shape",
+        [
+            (total_sphere, r"\(\)"),
+            (column_sphere, r"\(3, 1\)"),
+            (lambda x: np.zeros(4), r"\(4,\)"),
+            (lambda x: np.zeros((1, 3)), r"\(1, 3\)"),
+        ],
+    )
+    def test_wrong_result_shape_rejected(self, objective, shape):
+        with pytest.raises(ValueError, match=rf"objective returned shape {shape} for 3 points; expected \(3,\)"):
+            evaluate_batch(sphere_with(2, objective), np.zeros((3, 2)), EvalCounter(budget=10))
+
+    def test_list_result_accepted(self):
+        spec = sphere_with(2, lambda x: [1, -2.5, 0.0])
+        fitness = evaluate_batch(spec, np.zeros((3, 2)), EvalCounter(budget=10))
+        assert fitness.dtype == float and np.array_equal(fitness, [1.0, -2.5, 0.0])
+
+    def test_result_is_copied(self):
+        # an objective may return a view of its input or a buffer it reuses
+        buffer = np.zeros(3)
+
+        def reused(x):
+            buffer[:] = x[:, 0]
+            return buffer
+
+        positions = np.arange(6.0).reshape(3, 2)
+        for objective in (lambda x: x[:, 0], reused):
+            fitness = evaluate_batch(sphere_with(2, objective), positions, EvalCounter(budget=10))
+            fitness[:] = -1.0
+            assert np.array_equal(positions[:, 0], [0.0, 2.0, 4.0])
+            assert not np.shares_memory(fitness, buffer)
 
 
 class TestObjectiveSpec:

@@ -148,6 +148,24 @@ class TestHybridDiversity:
         reading = hybrid_diversity(swarm, bounds, 10)
         assert reading.hybrid == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fitness",
+        [
+            [-1e308, 1e308, 0.0, 3.0],  # max - min overflows
+            [-1.7976931348623157e308, 1.7976931348623157e308, 1e308, -1e308],
+            [0.0, 5e-324, 1e-323, 0.0],  # bins / (max - min) overflows
+            [1e-310, -1e-310, 0.0, 2e-310],
+        ],
+    )
+    def test_fitness_range_past_the_float_range(self, fitness):
+        # such a range is binned as the fitness over its largest magnitude
+        fitness = np.array(fitness)
+        scaled = fitness / np.abs(fitness).max()
+        reading = hybrid_diversity(build_swarm(np.zeros((4, 2)), fitness), Bounds.cube(-1.0, 1.0, 2), 10)
+        assert 0.0 < reading.fitness_entropy <= 1.0
+        assert reading.fitness_entropy == histogram_entropy(scaled, (scaled.min(), scaled.max()), 10)
+
 
 class TestAdapMetrics:
     def test_collapsed_swarm_zero(self):
@@ -234,7 +252,8 @@ BOXES = {d: Bounds.cube(-5.0, 5.0, d) for d in (1, 10, 100)}
 
 @st.composite
 def swarm_cases(draw):
-    """Random swarms over [-5, 5]^D with edge values, collapse and flat fitness."""
+    """Random swarms over [-5, 5]^D with edge values, collapse, flat fitness
+    and fitness ranges past the float range."""
     n = draw(st.sampled_from([1, 5, 30, 40]))
     d = draw(st.sampled_from([1, 10, 100]))
     bins = draw(st.integers(2, 20))
@@ -242,7 +261,8 @@ def swarm_cases(draw):
     positions = draw(arrays(np.float64, (n, d), elements=coordinate))
     if draw(st.booleans()):
         positions[:] = positions[0]
-    fitness = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    extreme = st.sampled_from([-1.7976931348623157e308, 1.7976931348623157e308, 5e-324, -5e-324])
+    fitness = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6) | extreme))
     if draw(st.booleans()):
         fitness[:] = fitness[0]
     return BOXES[d], build_swarm(positions, fitness), bins

@@ -17,7 +17,7 @@ from ampso.optimizer import (
     run_ampso,
     run_gpso,
 )
-from conftest import half_inf_sphere, half_nan_sphere
+from conftest import column_sphere, half_inf_sphere, half_nan_sphere, scaling_sphere, sphere_with, total_sphere
 
 
 def phase_word(span) -> str:
@@ -259,7 +259,7 @@ class TestPhaseBoundaries:
             rows = [p for p in result.trace if span.start_fe < p.fe <= span.end_fe]
             if span.phase != EXPLORATION and rows:
                 assert rows[0].phase == span.phase
-                assert rows[0].evolution_rate == 1.0
+                assert rows[0].er == 1.0
                 firsts += 1
         assert firsts >= 2
 
@@ -302,6 +302,23 @@ def test_infinite_objective_rejected(run):
     # an infinite fitness would make the diversity reading multiply inf by 0 and bin the NaN
     with pytest.raises(ValueError, match=r"objective returned an infinite value for \d+ of \d+ points"):
         run(AmpsoConfig(fe_budget=3000), half_inf_sphere(2), seed=0)
+
+
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_objective_cannot_move_the_swarm(run):
+    # scaling its input in place would move the swarm out of the box and
+    # leave best_error describing a point other than best_position
+    spec = make_spec("sphere", 3, bounds=Bounds.cube(-1.0, 1.0, 3))
+    spec.function = scaling_sphere
+    with pytest.raises(ValueError, match="read-only"):
+        run(AmpsoConfig(fe_budget=3000), spec, seed=0)
+
+
+@pytest.mark.parametrize("objective, shape", [(total_sphere, r"\(\)"), (column_sphere, r"\(\d+, 1\)")])
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_wrong_result_shape_rejected(run, objective, shape):
+    with pytest.raises(ValueError, match=rf"^objective returned shape {shape} for \d+ points; expected \(\d+,\)$"):
+        run(AmpsoConfig(fe_budget=3000), sphere_with(2, objective), seed=0)
 
 
 def test_operands_never_cross_between_boxes():
