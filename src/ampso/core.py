@@ -59,7 +59,11 @@ class Bounds:
             raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        for name, value in (("lower", lower), ("upper", upper), ("span", upper - lower)):
+        with np.errstate(over="ignore"):
+            span = upper - lower
+        if not np.all(np.isfinite(span)):
+            raise ValueError("every span upper - lower must lie within the float range")
+        for name, value in (("lower", lower), ("upper", upper), ("span", span)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -92,11 +96,19 @@ class Bounds:
         """``bins / span`` repeated over ``n`` rows, built once per (n, bins).
 
         ``(x - lower) * grid_scale`` maps a point of the box onto a grid of
-        ``bins`` equal cells per dimension.
+        ``bins`` equal cells per dimension.  A box too narrow for that
+        grid, one whose ``bins / span`` lies past the float range, is a
+        ``ValueError``.
         """
         block = self._blocks.get((n, bins))
         if block is None:
-            block = self._blocks[n, bins] = _repeat_rows(bins / self.span, n)
+            with np.errstate(over="ignore"):
+                scale = bins / self.span
+            if not np.all(np.isfinite(scale)):
+                raise ValueError(
+                    f"every span must be wide enough for {bins} bins: bins / span lies past the float range"
+                )
+            block = self._blocks[n, bins] = _repeat_rows(scale, n)
         return block
 
 
@@ -123,6 +135,7 @@ class Swarm:
     current_fitness: np.ndarray
     global_best_position: np.ndarray
     global_best_fitness: float
+    _scratch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @classmethod
     def fresh(
@@ -157,6 +170,20 @@ class Swarm:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
+
+    def scratch(self, purpose: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A work array for one purpose and shape, built once per swarm.
+
+        The operators write their temporaries into these instead of
+        allocating them on every call; an array holds whatever its last
+        user left there.  They die with the swarm, so two swarms never
+        share one.
+        """
+        key = (purpose, shape)
+        array = self._scratch.get(key)
+        if array is None:
+            array = self._scratch[key] = np.empty(shape, dtype)
+        return array
 
     def refresh_global_best(self) -> None:
         """Pull the global best down to the best personal best, keeping the incumbent."""
@@ -278,7 +305,9 @@ def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCoun
     """Evaluate a (n, D) block of positions, spending n evaluations.
 
     The objective sees a read-only block, so it cannot move the swarm, and
-    its result is copied, so the swarm owns its fitness.  A result that is
+    its result is copied, so the swarm owns its fitness.  An objective that
+    tries to write into the block fails with a ``ValueError`` that says so,
+    chained from numpy's read-only error.  A result that is
     not one value per point, shape ``(n,)``, is rejected with a
     ``ValueError`` naming its shape.  So is a NaN or an infinite value for
     any point: such a fitness cannot be ranked against the others or
@@ -294,7 +323,13 @@ def evaluate_batch(spec: ObjectiveSpec, positions: np.ndarray, counter: EvalCoun
     counter.spend(n)
     frame = spec.transform(positions).view()
     frame.setflags(write=False)
-    fitness = np.array(spec.function(frame), dtype=float)
+    try:
+        values = spec.function(frame)
+    except ValueError as exc:
+        if "read-only" not in str(exc):
+            raise
+        raise ValueError(f"objective wrote into its read-only input: {exc}") from exc
+    fitness = np.array(values, dtype=float)
     if fitness.shape != (n,):
         raise ValueError(f"objective returned shape {fitness.shape} for {n} points; expected ({n},)")
     if not math.isfinite(sum(fitness.tolist())):

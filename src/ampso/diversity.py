@@ -117,21 +117,26 @@ def fitness_diversity(swarm: Swarm, bins: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _histogram_constants(n: int, d: int, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _histogram_constants(
+    n: int, d: int, bins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
 
     Returns the table of p log p indexed by occupancy count 0..n (the
     exact terms :func:`_entropy_from_counts` computes), the flat bincount
     offset of every value of an (n, D) position block followed by n
-    fitness values, and -log(bins): dividing by it negates exactly, signed
-    zeros included, so the entropy takes one operation fewer.
+    fitness values, the first and last bin index repeated over that flat
+    block (a same-shape operand costs less than a scalar), and -log(bins):
+    dividing by it negates exactly, signed zeros included, so the entropy
+    takes one operation fewer.
     """
     p = np.arange(n + 1) / n
     plogp = p * np.log(np.where(p > 0, p, 1.0))
     offsets = np.concatenate([np.tile(np.arange(d) * bins, n), np.full(n, d * bins)])
-    plogp.setflags(write=False)
-    offsets.setflags(write=False)
-    return plogp, offsets, -np.log(bins)
+    first, last = np.zeros_like(offsets), np.full_like(offsets, bins - 1)
+    for table in (plogp, offsets, first, last):
+        table.setflags(write=False)
+    return plogp, offsets, first, last, -np.log(bins)
 
 
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
@@ -143,7 +148,8 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     fitness values over their [min, max], one ``bincount`` (whose counts
     do not depend on the order of the values), and p log p read from a
     table indexed by count.  A fitness range past the float range takes
-    the same detour as in :func:`histogram_entropy`.
+    the same detour as in :func:`histogram_entropy`.  The flat block and
+    its bin indices live in the swarm's scratch arrays.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -151,12 +157,12 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
         raise ValueError("swarm must be non-empty")
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    plogp, offsets, neg_log_bins = _histogram_constants(n, d, bins)
+    plogp, offsets, first, last, neg_log_bins = _histogram_constants(n, d, bins)
     # in Python floats a range or scale past the float range reads inf or 0, without a warning
-    f_lo, f_hi = float(np.minimum.reduce(fitness)), float(np.maximum.reduce(fitness))
+    f_lo, f_hi = float(fitness[fitness.argmin()]), float(fitness[fitness.argmax()])
     f_scale = bins / (f_hi - f_lo) if f_hi != f_lo else 1.0
 
-    block = np.empty(n * (d + 1))
+    block = swarm.scratch("cells", (n * (d + 1),))
     cells, fitness_cells = block[: n * d].reshape(n, d), block[n * d :]
     np.subtract(positions, bounds.rows(n)[0], out=cells)
     cells *= bounds.grid_scale(n, bins)
@@ -168,10 +174,11 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
         np.divide(fitness, top, out=fitness_cells)
         fitness_cells -= f_lo / top
         fitness_cells *= bins / (f_hi / top - f_lo / top)
-    # int cast truncates toward zero; the clamps repair both edges
-    idx = block.astype(np.intp)
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, bins - 1, out=idx)
+    # the unsafe cast truncates toward zero, as astype does; the clamps repair both edges
+    idx = swarm.scratch("bins", block.shape, np.intp)
+    np.copyto(idx, block, casting="unsafe")
+    np.maximum(idx, first, out=idx)
+    np.minimum(idx, last, out=idx)
     idx += offsets
     counts = np.bincount(idx, minlength=(d + 1) * bins).reshape(d + 1, bins)
     entropy = np.add.reduce(plogp[counts], axis=-1) / neg_log_bins

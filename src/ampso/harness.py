@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
@@ -45,9 +45,9 @@ ALGORITHMS = {"ampso": run_ampso, "gpso": run_gpso}
 TRACE_COLUMNS = TracePoint._fields
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    """Aggregate of final errors over a cell's runs (population std)."""
+class StatsSummary(NamedTuple):
+    """Aggregate of final errors over a cell's runs (population std); the
+    field names are the statistic columns of summary.csv and summary.json."""
 
     mean: float
     std: float
@@ -226,10 +226,10 @@ def write_campaign_outputs(
     )
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    summary_header = (*CELL_KEYS, *(f.name for f in fields(StatsSummary)))
+    summary_header = (*CELL_KEYS, *StatsSummary._fields)
     _atomic_write(
         summary_path,
-        _csv_text(summary_header, [(*c[: len(CELL_KEYS)], *map(repr, astuple(c.stats))) for c in cells]),
+        _csv_text(summary_header, [(*c[: len(CELL_KEYS)], *map(repr, c.stats)) for c in cells]),
     )
 
     json_path = os.path.join(out_dir, "summary.json")
@@ -242,7 +242,7 @@ def write_campaign_outputs(
         "cells": [
             {
                 **dict(zip(CELL_KEYS, c)),
-                **{name: _json_number(value) for name, value in asdict(c.stats).items()},
+                **{name: _json_number(value) for name, value in c.stats._asdict().items()},
                 **({"error": c.error} if c.error else {}),
             }
             for c in cells

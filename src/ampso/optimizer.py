@@ -172,8 +172,10 @@ class _Run:
 
     The run's record is made here and nowhere else: :meth:`fresh` and
     :meth:`spawn` offer a swarm's best as it is born, :meth:`log` offers
-    each stepped swarm's best and appends the iteration's trace row, and
-    :meth:`open_phase` notes where a phase starts.
+    each stepped swarm's best and appends the iteration's trace row,
+    :meth:`cover` logs swarms that no iteration logged, and
+    :meth:`open_phase` notes where a phase starts.  So the last trace row
+    holds the run's ``fe_used`` and ``best_error``.
 
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
@@ -191,6 +193,7 @@ class _Run:
         self.rng = RngStream(config.seed if seed is None else seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
         self.total_iterations = self.counter.budget // config.convergence_size
+        self.spec.bounds.grid_scale(1, config.entropy_bins)  # a box too narrow for the grid fails here, unspent
         vmax = config.vmax_factor * spec.bounds.span
         self.speed = Bounds(-vmax, vmax)
         self.best_position: np.ndarray | None = None
@@ -234,6 +237,16 @@ class _Run:
         phase = self.phase_starts[-1][0]
         self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
 
+    def cover(self, swarms: Sequence[Swarm]) -> None:
+        """Log ``swarms`` unless the last row already covers every evaluation.
+
+        Where a block ends, this logs the swarms of a block that ran no
+        iteration.  The row holds their mean diversity, with no inertia or
+        evolution rate.
+        """
+        if not self.trace or self.trace[-1].fe < self.counter.used:
+            self.log(swarms, _mean([self.diversity(swarm).hybrid for swarm in swarms]), math.nan, math.nan)
+
     def result(self) -> RunResult:
         """The run's outcome; each phase span ends where the next one starts."""
         ends = [start for _, start in self.phase_starts[1:]] + [self.counter.used]
@@ -262,7 +275,8 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     itself wholesale with a probability that grows as it stalls.
 
     Exploration trace rows log the mean diversity/inertia across
-    sub-swarms and have no evolution rate.
+    sub-swarms and have no evolution rate.  A block that runs no
+    iteration logs one row for the swarms it built.
     """
     run = _Run(config, spec, seed)
     while run.counter.remaining >= config.exploration_size:
@@ -285,7 +299,7 @@ def _explore(run: _Run) -> list[Swarm]:
     run.open_phase(EXPLORATION)
     subs = [run.fresh(config.sub_swarm_size) for _ in range(config.exploration_size // config.sub_swarm_size)]
     if not run.trace:
-        run.log(subs, float(np.mean([run.diversity(sub).hybrid for sub in subs])), math.nan, math.nan)
+        run.cover(subs)
 
     t = 0
     while t < iterations and counter.remaining >= config.exploration_size:
@@ -298,8 +312,14 @@ def _explore(run: _Run) -> list[Swarm]:
             pso_step(sub, run.kinematics(w), run.spec, run.rng, counter)
             diversities.append(e)
             omegas.append(w)
-        run.log(subs, float(np.mean(diversities)), float(np.mean(omegas)), math.nan)
+        run.log(subs, _mean(diversities), _mean(omegas), math.nan)
+    run.cover(subs)
     return subs
+
+
+def _mean(values: list[float]) -> float:
+    """``np.mean(values)`` bit for bit: the same pairwise sum, then one division."""
+    return float(np.add.reduce(values)) / len(values)
 
 
 def _exploit(run: _Run, seed: Swarm) -> None:
@@ -325,6 +345,7 @@ def _exploit(run: _Run, seed: Swarm) -> None:
         run.log((swarm,), reading.hybrid, omega, er)
         if er < config.stagnation_threshold:
             break
+    run.cover((swarm,))
 
 
 def _converge(run: _Run) -> None:
@@ -350,6 +371,7 @@ def _converge(run: _Run) -> None:
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
         run.log((swarm,), reading.hybrid, omega, er)
+    run.cover((swarm,))
 
 
 def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:

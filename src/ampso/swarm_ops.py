@@ -55,9 +55,14 @@ class KinematicParams(NamedTuple):
 
 
 def _clip_into(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
-    """Clip ``values`` into [low, high] in place (np.clip costs more per call)."""
-    np.maximum(values, low, out=values)
-    np.minimum(values, high, out=values)
+    """Clip ``values`` into [low, high] in place.
+
+    ``ndarray.clip`` is one ufunc call; the ``np.clip`` function adds a
+    Python wrapper, and ``np.maximum`` then ``np.minimum`` take two calls.
+    They agree on every value; a tie between signed zeros, possible only
+    against a zero bound, returns the bound from all three under numpy 2.4.
+    """
+    values.clip(low, high, out=values)
 
 
 def pso_step(
@@ -75,36 +80,48 @@ def pso_step(
     position clipped to the bounds, then one re-evaluation per particle.
     Unselected particles are untouched.  Draw order: one (2, n, D) uniform
     block, r1 then r2 (the same stream as an r1 block followed by an r2
-    block).
+    block).  The attractors pbest - x and gbest - x and the mask of
+    improved particles live in the swarm's scratch arrays.
     """
     if subset is None:
         sel = slice(None)  # a slice selects views, so the in-place updates write through
     else:
         sel = np.asarray(subset, dtype=np.intp)
     x = swarm.positions[sel]
-    counter.require(len(x))
+    n = len(x)
+    counter.require(n)
     v = swarm.velocities[sel]
-    r1, r2 = rng.uniform(size=(2, len(x), swarm.dimension))
+    r = rng.uniform(size=(2, n, swarm.dimension))
+    attractors = swarm.scratch("attractors", r.shape)
+    to_best, to_global = attractors[0], attractors[1]
+    np.subtract(swarm.best_positions[sel], x, out=to_best)
+    to_global[...] = swarm.global_best_position  # a same-shape operand skips the broadcast set-up
+    np.subtract(to_global, x, out=to_global)
+    r1, r2 = r[0], r[1]
     r1 *= params.c1
-    r1 *= swarm.best_positions[sel] - x
     r2 *= params.c2
-    r2 *= swarm.global_best_position - x
+    r *= attractors
     v *= params.omega
     v += r1
     v += r2
-    _clip_into(v, *params.speed.rows(len(x)))
+    _clip_into(v, *params.speed.rows(n))
     x += v
-    _clip_into(x, *spec.bounds.rows(len(x)))
+    _clip_into(x, *spec.bounds.rows(n))
     if subset is not None:  # fancy indexing handed out copies
         swarm.velocities[sel] = v
         swarm.positions[sel] = x
     fitness = evaluate_batch(spec, x, counter)
+    # fold the fresh evaluations into the personal and global bests; the
+    # mask holds only selected rows, so no other row is written
     swarm.current_fitness[sel] = fitness
-    # fold the fresh evaluations into the personal and global bests
-    rows = (fitness < swarm.best_fitness[sel]).nonzero()[0]
-    winners = rows if subset is None else sel[rows]
-    swarm.best_positions[winners] = x[rows]
-    swarm.best_fitness[winners] = fitness[rows]
+    improved = swarm.scratch("improved", (swarm.size,), bool)
+    if subset is None:
+        np.less(fitness, swarm.best_fitness, out=improved)
+    else:
+        improved.fill(False)
+        improved[sel] = fitness < swarm.best_fitness[sel]
+    np.copyto(swarm.best_fitness, swarm.current_fitness, where=improved)
+    np.copyto(swarm.best_positions, swarm.positions, where=improved[:, None])
     swarm.refresh_global_best()
 
 

@@ -1,9 +1,11 @@
 """Property tests of the search box and the speed cap.
 
 Every swarm builder and operator leaves every position inside [lower,
-upper] and every velocity component within +-vmax, starting from states
-that obey both, with some particles sitting on the box edges.  Whole runs
-of both algorithms keep the same two invariants after every operator call.
+upper], every velocity component within +-vmax and every personal best
+no worse than its particle's current fitness, starting from states that
+obey all three, with some particles sitting on the box edges.  Whole runs
+of both algorithms keep the box and the speed cap after every operator
+call.
 """
 
 import numpy as np
@@ -36,8 +38,9 @@ def problems(draw):
 
 
 def start_swarm(spec, vmax, n, rng):
-    """A valid swarm: inside the box, |v| <= vmax, about a third of the
-    coordinates on an edge and a third of the velocities at the cap."""
+    """A valid swarm: inside the box, |v| <= vmax, each personal best the
+    better of two points, about a third of the coordinates on an edge and
+    a third of the velocities at the cap."""
     lower, upper = spec.bounds.lower, spec.bounds.upper
 
     def points():
@@ -49,14 +52,16 @@ def start_swarm(spec, vmax, n, rng):
     velocities = rng.uniform(-1.0, 1.0, size=positions.shape) * vmax
     capped = rng.random(positions.shape) < 1 / 3
     velocities[capped] = np.copysign(vmax, velocities)[capped]
-    best_fitness = spec.function(best_positions)
+    current_fitness, best_fitness = spec.function(positions), spec.function(best_positions)
+    worse = best_fitness > current_fitness
+    best_positions[worse], best_fitness[worse] = positions[worse], current_fitness[worse]
     best = int(best_fitness.argmin())
     return Swarm(
         positions=positions,
         velocities=velocities,
         best_positions=best_positions,
         best_fitness=best_fitness,
-        current_fitness=spec.function(positions),
+        current_fitness=current_fitness,
         global_best_position=best_positions[best].copy(),
         global_best_fitness=float(best_fitness[best]),
     )
@@ -91,6 +96,7 @@ def test_operators_keep_the_box_and_the_speed_cap(problem, n, names, omega, sigm
         else:
             full_reconstruct(swarm, sigma, spec, rng, counter)
         assert_in_box_and_capped(swarm, spec.bounds, vmax)
+        assert np.all(swarm.best_fitness <= swarm.current_fitness)
 
 
 @settings(max_examples=20, deadline=None)

@@ -37,6 +37,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="finite"):
             Bounds(np.array([-1.0, -1.0]), np.array([bad, 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float range"):
+            Bounds([-1e308], [1e308])
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_past_float_range_rejected(self):
+        bounds = Bounds([0.0, 0.0], [1.0, 1e-310])
+        with pytest.raises(ValueError, match="wide enough for 10 bins"):
+            bounds.grid_scale(4, 10)
+
     def test_diagonal_length_recomputable(self):
         bounds = Bounds(np.array([0.0, -2.0]), np.array([3.0, 2.0]))
         assert bounds.diagonal_length == pytest.approx(5.0, abs=1e-15)
@@ -174,9 +185,19 @@ class TestEvaluate:
         spec = sphere_with(2, scaling_sphere)
         spec.shift = shift
         positions = np.full((3, 2), 0.25)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(ValueError, match="^objective wrote into its read-only input: ") as caught:
             evaluate_batch(spec, positions, EvalCounter(budget=10))
+        assert isinstance(caught.value.__cause__, ValueError) and "read-only" in str(caught.value.__cause__)
         assert np.all(positions == 0.25)
+
+    @pytest.mark.parametrize("error", [ValueError("bad point"), TypeError("read-only"), KeyError("x")])
+    def test_other_objective_errors_pass_unchanged(self, error):
+        def failing(x):
+            raise error
+
+        with pytest.raises(type(error)) as caught:
+            evaluate_batch(sphere_with(2, failing), np.zeros((3, 2)), EvalCounter(budget=10))
+        assert caught.value is error
 
     @pytest.mark.parametrize(
         "objective, shape",

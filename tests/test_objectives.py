@@ -2,7 +2,8 @@
 
 Over arbitrary batch objectives, a run of either algorithm either ends
 with every run invariant holding (the budget law, the box, the speed cap
-and a non-increasing best error) or fails with a ValueError that names
+a non-increasing best error and a last trace row that holds the run's
+evaluation count and best error) or fails with a ValueError that names
 the objective.  No run emits a warning.
 """
 
@@ -76,4 +77,5 @@ def test_runs_hold_every_invariant_or_name_the_objective(config, run, kind, scal
     assert np.all(result.best_position >= spec.bounds.lower) and np.all(result.best_position <= spec.bounds.upper)
     errors = [point.best_error for point in result.trace]
     assert errors and all(b <= a for a, b in zip(errors, errors[1:]))
-    assert result.best_error <= errors[-1]
+    assert result.best_error == errors[-1]
+    assert result.trace[-1].fe == result.fe_used

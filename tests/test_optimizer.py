@@ -247,6 +247,46 @@ class TestRunAmpso:
         assert np.array_equal(a.best_position, b.best_position)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # exploitation blocks capped at 0 iterations, then a trailing exploration block that runs none
+        dict(exploration_size=1, sub_swarm_size=1, exploitation_size=2, convergence_size=4, fe_budget=7),
+        # a convergence swarm spawned with no budget left to step it
+        dict(exploration_size=2, sub_swarm_size=2, exploitation_size=2, convergence_size=6, fe_budget=12),
+    ],
+)
+def test_last_trace_row_covers_every_evaluation(overrides):
+    config = AmpsoConfig(exploration_ratio=0.0, replace_ratio=0.5, **overrides)
+    result = run_ampso(config, make_spec("sphere", 1), seed=0)
+    assert result.trace[-1].fe == result.fe_used
+    assert result.trace[-1].best_error == result.best_error
+    assert result.trace[-1].phase == result.phase_log[-1].phase
+    assert [p.fe for p in result.trace] == sorted({p.fe for p in result.trace})
+
+
+def test_exploration_mean_is_numpy_mean_bit_for_bit():
+    # numpy sums eight or more values pairwise, not left to right
+    rng = np.random.default_rng(0)
+    for k in range(1, 300):
+        for values in (rng.random(k), rng.normal(size=k) * 10.0 ** rng.integers(-300, 300, k)):
+            values = values.tolist()
+            assert repr(optimizer_module._mean(values)) == repr(float(np.mean(values))), k
+    for values in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0] * 9, [5e-324, -5e-324, 5e-324]):
+        assert repr(optimizer_module._mean(values)) == repr(float(np.mean(values)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_box_too_narrow_for_the_grid_rejected_before_any_evaluation(run):
+    calls = []
+    spec = sphere_with(2, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
+    spec.bounds = Bounds(np.zeros(2), np.array([1.0, 1e-308]))
+    with pytest.raises(ValueError, match="wide enough for 10 bins"):
+        run(AmpsoConfig(fe_budget=3000), spec, seed=0)
+    assert not calls
+
+
 class TestPhaseBoundaries:
     def test_phase_boundary_resets_swarm_local_counters(self, small_run):
         _, _, result = small_run
@@ -310,7 +350,7 @@ def test_objective_cannot_move_the_swarm(run):
     # leave best_error describing a point other than best_position
     spec = make_spec("sphere", 3, bounds=Bounds.cube(-1.0, 1.0, 3))
     spec.function = scaling_sphere
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(ValueError, match="^objective wrote into its read-only input: "):
         run(AmpsoConfig(fe_budget=3000), spec, seed=0)
 
 

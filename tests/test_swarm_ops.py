@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ampso.core import Bounds, BudgetExhausted, EvalCounter, RngStream, evaluate_batch, initialize_swarm
 from ampso.benchmarks import make_spec
+from ampso.diversity import hybrid_diversity
 from ampso.swarm_ops import (
     KinematicParams,
     full_reconstruct,
@@ -61,6 +62,22 @@ class TestPsoStep:
         pso_step(swarm, params_for(spec), spec, rng, counter, subset=np.array([1, 3, 4, 5, 6, 7, 8]))
         assert counter.used == 7
         assert np.array_equal(swarm.positions[[0, 2, 9]], frozen)
+
+    def test_subset_step_writes_no_other_row(self):
+        # row 0 sits outside the subset with its current fitness below its
+        # personal best, which a fold over every row would take as a win
+        spec = sphere_spec(2)
+        swarm = build_swarm(np.array([[1.0, 1.0], [20.0, -20.0], [-30.0, 5.0], [40.0, 40.0]]))
+        swarm.velocities[:] = 0.3
+        swarm.best_positions[0] = [9.0, 9.0]
+        swarm.best_fitness[0] = 162.0
+        swarm.current_fitness[:] = spec.function(swarm.positions)
+        swarm.best_fitness[1:] = swarm.current_fitness[1:] + 1.0  # rows 1-3 improve on any move
+        before = copy.deepcopy(swarm)
+        pso_step(swarm, params_for(spec), spec, RngStream(5), EvalCounter(budget=10), subset=np.array([3, 1]))
+        for name in ("positions", "velocities", "best_positions", "best_fitness", "current_fitness"):
+            assert np.array_equal(getattr(swarm, name)[[0, 2]], getattr(before, name)[[0, 2]]), name
+            assert not np.array_equal(getattr(swarm, name)[[1, 3]], getattr(before, name)[[1, 3]]), name
 
     def test_personal_and_global_bests_update(self):
         spec = sphere_spec(2)
@@ -287,20 +304,29 @@ class TestOperatorInvariants:
             assert np.all(swarm.positions <= spec.bounds.upper)
 
     def test_isolated_swarms_do_not_couple(self):
-        # stepping another swarm in between must not alter a swarm's
-        # trajectory when its own draws are identical
+        # two equal-size swarms read and stepped in alternation end bit for
+        # bit as each one read and stepped alone: no scratch array is shared
         spec = make_spec("ackley", 3)
         vmax = 0.01 * spec.bounds.span
-        swarm_a1 = initialize_swarm(spec, 5, RngStream(21), vmax, EvalCounter(budget=50))
-        swarm_a2 = initialize_swarm(spec, 5, RngStream(21), vmax, EvalCounter(budget=50))
-        swarm_b = initialize_swarm(spec, 5, RngStream(22), vmax, EvalCounter(budget=50))
-        rng_a1, rng_a2, rng_b = RngStream(31), RngStream(31), RngStream(32)
-        for _ in range(20):
-            pso_step(swarm_a1, params_for(spec, omega=0.7), spec, rng_a1, EvalCounter(budget=50))
-            pso_step(swarm_b, params_for(spec, omega=0.7), spec, rng_b, EvalCounter(budget=50))
-            pso_step(swarm_a2, params_for(spec, omega=0.7), spec, rng_a2, EvalCounter(budget=50))
-        assert np.array_equal(swarm_a1.positions, swarm_a2.positions)
-        assert np.array_equal(swarm_a1.current_fitness, swarm_a2.current_fitness)
+        params = params_for(spec, omega=0.7)
+
+        def trajectory(seeds, subset, steps=20):
+            swarms = [initialize_swarm(spec, 5, RngStream(seed), vmax, EvalCounter(budget=50)) for seed in seeds]
+            rngs = [RngStream(seed + 10) for seed in seeds]
+            readings = [[] for _ in seeds]
+            for _ in range(steps):
+                for swarm, rng, seen in zip(swarms, rngs, readings):
+                    seen.append(repr(hybrid_diversity(swarm, spec.bounds, 10)[:3]))
+                    pso_step(swarm, params, spec, rng, EvalCounter(budget=50), subset)
+            return list(zip(swarms, readings))
+
+        for subset in (None, np.array([4, 0, 2])):
+            alone = trajectory([21], subset) + trajectory([22], subset)
+            for (swarm, readings), (solo, solo_readings) in zip(trajectory([21, 22], subset), alone):
+                assert readings == solo_readings
+                for name in ("positions", "velocities", "best_positions", "best_fitness", "current_fitness"):
+                    assert np.array_equal(getattr(swarm, name), getattr(solo, name)), name
+                assert swarm.global_best_fitness == solo.global_best_fitness
 
 
 class TestPsoStepPaths:
