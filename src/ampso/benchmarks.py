@@ -107,10 +107,6 @@ class BenchmarkEntry:
     optimum_coordinate: float  # optimum position is this value in every dimension
     optimum_value: float
 
-    def bounds(self, dimension: int) -> Bounds:
-        low, high = self.default_bounds
-        return Bounds.cube(low, high, dimension)
-
 
 REGISTRY: dict[str, BenchmarkEntry] = {
     e.name: e
@@ -138,18 +134,19 @@ def make_spec(
     dimension: int,
     shift: np.ndarray | None = None,
     rotation: np.ndarray | None = None,
-    bounds: Bounds | None = None,
 ) -> ObjectiveSpec:
     """Pose a problem instance from a registry entry: f(rotation @ (x - shift)).
 
-    For entries whose raw optimum is the origin, the optimum moves to
+    The box is the entry's default cube; another box is posed directly,
+    as ``ObjectiveSpec(dimension, box, REGISTRY[name].function)``.  For
+    entries whose raw optimum is the origin, the optimum moves to
     ``shift`` (rotations fix the origin of the transformed frame, so they
     do not move it further).  Non-orthogonal rotations are rejected.
     """
     entry = get_entry(name)
     return ObjectiveSpec(
         dimension=dimension,
-        bounds=bounds if bounds is not None else entry.bounds(dimension),
+        bounds=Bounds.cube(*entry.default_bounds, dimension),
         function=entry.function,
         shift=shift,
         rotation=rotation,

@@ -53,8 +53,8 @@ class Bounds:
     def __post_init__(self):
         lower = np.array(self.lower, dtype=float, ndmin=1)
         upper = np.array(self.upper, dtype=float, ndmin=1)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-D vectors of equal length")
+        if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
+            raise ValueError("lower and upper must be non-empty 1-D vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("every bound must be finite")
         if not np.all(lower < upper):
@@ -75,11 +75,6 @@ class Bounds:
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    @property
-    def diagonal_length(self) -> float:
-        """Euclidean length of the box diagonal."""
-        return float(np.linalg.norm(self.span))
 
     def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``lower`` and ``upper`` repeated over ``n`` rows, built once per n.
@@ -220,12 +215,17 @@ class ObjectiveSpec:
             self.shift = np.asarray(self.shift, dtype=float)
             if self.shift.shape != (self.dimension,):
                 raise ValueError("shift must be a vector of length D")
+            if not np.all(np.isfinite(self.shift)):
+                raise ValueError("every shift entry must be finite")
         if self.rotation is not None:
             self.rotation = np.asarray(self.rotation, dtype=float)
             if self.rotation.shape != (self.dimension, self.dimension):
                 raise ValueError("rotation must be a DxD matrix")
-            residual = self.rotation.T @ self.rotation - np.eye(self.dimension)
-            if np.max(np.abs(residual)) > ROTATION_ORTHO_TOL:
+            if not np.all(np.isfinite(self.rotation)):
+                raise ValueError("every rotation entry must be finite")
+            with np.errstate(over="ignore", invalid="ignore"):  # entries near the float range overflow
+                residual = self.rotation.T @ self.rotation - np.eye(self.dimension)
+            if not np.max(np.abs(residual)) <= ROTATION_ORTHO_TOL:  # written so a NaN residual fails
                 raise ValueError("rotation matrix is not orthogonal within tolerance")
 
     def transform(self, positions: np.ndarray) -> np.ndarray:
@@ -279,16 +279,13 @@ class RngStream:
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
         uniform_seq, gauss_seq = np.random.SeedSequence(seed).spawn(2)
         self._uniform = np.random.default_rng(uniform_seq)
         self._gauss = np.random.default_rng(gauss_seq)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        if low == 0.0 and high == 1.0:
-            # same draws and values as uniform(0, 1), at half the call cost
-            return self._uniform.random(size)
-        return self._uniform.uniform(low, high, size)
+    def uniform(self, size=None):
+        """Uniform draws in [0, 1)."""
+        return self._uniform.random(size)
 
     def normal(self, mean: float = 0.0, sd: float = 1.0, size=None):
         return self._gauss.normal(mean, sd, size)
@@ -369,5 +366,5 @@ def initialize_swarm(
     counter.require(size)
     bounds = spec.bounds
     positions = rng.uniform(size=(size, spec.dimension)) * bounds.span + bounds.lower
-    velocities = rng.uniform(low=-1.0, high=1.0, size=(size, spec.dimension)) * vmax
+    velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax
     return Swarm.fresh(positions, velocities, evaluate_batch(spec, positions, counter))

@@ -24,8 +24,6 @@ from .core import Bounds, Swarm
 __all__ = [
     "DiversityReading",
     "histogram_entropy",
-    "position_diversity",
-    "fitness_diversity",
     "hybrid_diversity",
     "adap_center_diversity",
     "adap_pairwise_diversity",
@@ -41,40 +39,15 @@ class DiversityReading(NamedTuple):
     per_dimension: np.ndarray
 
 
-def _bin_counts(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
-    """Occupancy counts of ``bins`` equal cells of [lo, hi], per column.
-
-    ``values`` is (n, m) with per-column ranges; returns (m, bins).
-    Values at the upper edge land in the last bin.
-    """
-    width = hi - lo
-    scale = bins / np.where(width > 0, width, 1.0)
-    # int cast truncates toward zero; the clamps repair both edges
-    idx = ((values - lo) * scale).astype(np.intp)
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, bins - 1, out=idx)
-    m = values.shape[1]
-    flat = idx + np.arange(m) * bins
-    counts = np.bincount(flat.ravel(), minlength=m * bins)
-    return counts.reshape(m, bins)
-
-
-def _entropy_from_counts(counts: np.ndarray, n: int, bins: int) -> np.ndarray:
-    """Normalized entropy -sum p log_Q p per row of a (m, bins) count table."""
-    p = counts / n
-    terms = p * np.log(np.where(p > 0, p, 1.0))  # empty cells contribute log 1 = 0
-    return -terms.sum(axis=-1) / np.log(bins)
-
-
 def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> float:
     """Occupancy entropy of values over ``bins`` equal cells of [lo, hi].
 
     Returns a number in [0, 1]: 0 when one cell holds everything (or the
     range is degenerate), 1 when the cells are equally occupied.  Empty
-    cells contribute nothing (0 log 0 := 0).  A range or a cell scale
-    ``bins / (hi - lo)`` past the float range is binned as everything
-    divided by the largest magnitude of the range, so it reads without a
-    floating-point warning.
+    cells contribute nothing (0 log 0 := 0).  Values at the upper edge
+    land in the last cell.  A range or a cell scale ``bins / (hi - lo)``
+    past the float range is binned as everything divided by the largest
+    magnitude of the range, so it reads without a floating-point warning.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -89,31 +62,11 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
     if not 0.0 < bins / (hi - lo) < math.inf:  # bin over the largest magnitude, whose range and scale fit
         top = max(abs(lo), abs(hi))
         values, lo, hi = values / top, lo / top, hi / top
-    counts = _bin_counts(values[:, None], np.array([lo]), np.array([hi]), bins)
-    return float(_entropy_from_counts(counts, values.size, bins)[0])
-
-
-def position_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> tuple[float, np.ndarray]:
-    """Mean per-dimension position entropy over the full search box.
-
-    Returns (mean entropy, vector of per-dimension entropies).
-    """
-    if swarm.size == 0:
-        raise ValueError("swarm must be non-empty")
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    counts = _bin_counts(swarm.positions, bounds.lower, bounds.upper, bins)
-    per_dim = _entropy_from_counts(counts, swarm.size, bins)
-    return float(per_dim.mean()), per_dim
-
-
-def fitness_diversity(swarm: Swarm, bins: int) -> float:
-    """Entropy of current fitness values over their observed [min, max].
-
-    A swarm with all-equal fitness has a degenerate range and reads 0.
-    """
-    fitness = swarm.current_fitness
-    return histogram_entropy(fitness, (float(fitness.min()), float(fitness.max())), bins)
+    # the int cast truncates toward zero; the clip repairs both edges
+    cells = ((values - lo) * (bins / (hi - lo if hi > lo else 1.0))).astype(np.intp).clip(0, bins - 1)
+    p = np.bincount(cells, minlength=bins) / values.size
+    terms = p * np.log(np.where(p > 0, p, 1.0))  # empty cells contribute log 1 = 0
+    return float(-terms.sum() / np.log(bins))
 
 
 @lru_cache(maxsize=64)
@@ -123,7 +76,7 @@ def _histogram_constants(
     """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
 
     Returns the table of p log p indexed by occupancy count 0..n (the
-    exact terms :func:`_entropy_from_counts` computes), the flat bincount
+    exact terms :func:`histogram_entropy` computes), the flat bincount
     offset of every value of an (n, D) position block followed by n
     fitness values, the first and last bin index repeated over that flat
     block (a same-shape operand costs less than a scalar), and -log(bins):
@@ -142,14 +95,17 @@ def _histogram_constants(
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
     """Average of position and fitness entropy, with both components.
 
-    Equal, bit for bit, to combining :func:`position_diversity` and
-    :func:`fitness_diversity`, but bins positions and fitness together:
-    one flat block, the (n, D) positions over the box followed by the n
-    fitness values over their [min, max], one ``bincount`` (whose counts
-    do not depend on the order of the values), and p log p read from a
-    table indexed by count.  A fitness range past the float range takes
-    the same detour as in :func:`histogram_entropy`.  The flat block and
-    its bin indices live in the swarm's scratch arrays.
+    Its reference is :func:`histogram_entropy`: per box dimension over
+    [lower, upper] for ``per_dimension`` (whose mean is
+    ``position_entropy``) and over the fitness's [min, max] for
+    ``fitness_entropy``.  It equals that reference bit for bit, but bins
+    positions and fitness together: one flat block, the (n, D) positions
+    over the box followed by the n fitness values over their [min, max],
+    one ``bincount`` (whose counts do not depend on the order of the
+    values), and p log p read from a table indexed by count.  A fitness
+    range past the float range takes the same detour as in
+    :func:`histogram_entropy`.  The flat block and its bin indices live in
+    the swarm's scratch arrays.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -196,7 +152,7 @@ def adap_center_diversity(swarm: Swarm, bounds: Bounds) -> float:
         raise ValueError("swarm must be non-empty")
     center = swarm.positions.mean(axis=0)
     distances = np.linalg.norm(swarm.positions - center, axis=1)
-    return float(distances.sum() / (swarm.size * bounds.diagonal_length))
+    return float(distances.sum() / (swarm.size * np.linalg.norm(bounds.span)))
 
 
 def adap_pairwise_diversity(swarm: Swarm, bounds: Bounds) -> float:
@@ -205,4 +161,4 @@ def adap_pairwise_diversity(swarm: Swarm, bounds: Bounds) -> float:
         raise ValueError("swarm must be non-empty")
     x = swarm.positions
     pairwise = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-    return float(pairwise.mean(axis=1).sum() / (swarm.size * bounds.diagonal_length))
+    return float(pairwise.mean(axis=1).sum() / (swarm.size * np.linalg.norm(bounds.span)))

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -85,8 +86,13 @@ class CampaignSpec:
         """Reject a bad grid before any run: config, counts, seeds, names, dimensions.
 
         Each grid axis needs at least one entry and may list none twice.
+        Counts, seeds and dimensions must be integers, not bools.
         """
         self.config.validate()
+        counts = [("runs", self.runs), ("jobs", self.jobs), ("base_seed", self.base_seed)]
+        for name, value in counts + [("each dimension", dim) for dim in self.dimensions]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:

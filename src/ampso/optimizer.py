@@ -186,11 +186,13 @@ class _Run:
     """
 
     def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None):
+        if seed is not None:
+            config = config.with_overrides(seed=seed)
         config.validate()
         self.config = config
         self.spec = copy.copy(spec)
         self.spec.bounds = Bounds(spec.bounds.lower, spec.bounds.upper)
-        self.rng = RngStream(config.seed if seed is None else seed)
+        self.rng = RngStream(config.seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
         self.total_iterations = self.counter.budget // config.convergence_size
         self.spec.bounds.grid_scale(1, config.entropy_bins)  # a box too narrow for the grid fails here, unspent

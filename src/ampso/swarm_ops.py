@@ -150,7 +150,7 @@ def spawn_artificial_swarm(
     positions *= bounds.span
     positions += seed_position
     _clip_into(positions, *bounds.rows(size))
-    velocities = rng.uniform(low=-1.0, high=1.0, size=(size, spec.dimension)) * vmax
+    velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax
     fitness = evaluate_batch(spec, positions, counter)
     return Swarm.fresh(positions, velocities, fitness, incumbent=(seed_position, seed_fitness))
 

@@ -50,11 +50,8 @@ class StubRng:
             return value
         return np.full(size, value, dtype=float)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        span = high - low
-        if size is None:
-            return low + span * self.uniform_value
-        return low + span * np.full(size, self.uniform_value, dtype=float)
+    def uniform(self, size=None):
+        return self._fill(self.uniform_value, size)
 
     def normal(self, mean=0.0, sd=1.0, size=None):
         if size is None:

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ampso.optimizer as optimizer_module
-from ampso.benchmarks import make_spec
-from ampso.core import Bounds, EvalCounter, RngStream, Swarm, initialize_swarm
+from ampso.benchmarks import REGISTRY, make_spec
+from ampso.core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm
 from ampso.optimizer import run_ampso, run_gpso
 from ampso.swarm_ops import (
     KinematicParams,
@@ -33,7 +33,7 @@ def problems(draw):
     d = draw(st.integers(1, 5))
     lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
     width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
-    spec = make_spec("sphere", d, bounds=Bounds(lower, lower + width))
+    spec = ObjectiveSpec(d, Bounds(lower, lower + width), REGISTRY["sphere"].function)
     return spec, draw(st.floats(0.001, 1.0)) * spec.bounds.span
 
 

@@ -10,10 +10,8 @@ from ampso.core import Bounds
 from ampso.diversity import (
     adap_center_diversity,
     adap_pairwise_diversity,
-    fitness_diversity,
     histogram_entropy,
     hybrid_diversity,
-    position_diversity,
 )
 from conftest import build_swarm
 
@@ -26,7 +24,7 @@ def naive_center_diversity(positions, bounds):
     total = 0.0
     for i in range(n):
         total += math.sqrt(sum((positions[i, k] - center[k]) ** 2 for k in range(positions.shape[1])))
-    return total / (n * bounds.diagonal_length)
+    return total / (n * np.linalg.norm(bounds.span))
 
 
 def naive_pairwise_diversity(positions, bounds):
@@ -37,7 +35,17 @@ def naive_pairwise_diversity(positions, bounds):
         for j in range(n):
             inner += math.sqrt(sum((positions[i, k] - positions[j, k]) ** 2 for k in range(positions.shape[1])))
         total += inner / n
-    return total / (n * bounds.diagonal_length)
+    return total / (n * np.linalg.norm(bounds.span))
+
+
+def reference_reading(swarm, bounds, bins):
+    """(position entropy, per-dimension entropies, fitness entropy) composed
+    from histogram_entropy: each position column over its box interval, the
+    fitness over its [min, max]."""
+    columns = zip(swarm.positions.T, bounds.lower, bounds.upper)
+    per_dim = np.array([histogram_entropy(x, (lo, hi), bins) for x, lo, hi in columns])
+    fitness = swarm.current_fitness
+    return float(per_dim.mean()), per_dim, histogram_entropy(fitness, (fitness.min(), fitness.max()), bins)
 
 
 class TestHistogramEntropy:
@@ -77,25 +85,24 @@ class TestHistogramEntropy:
 class TestPositionDiversity:
     def test_collapsed_swarm(self):
         bounds = Bounds.cube(-100.0, 100.0, 4)
-        swarm = build_swarm(np.zeros((10, 4)))
-        e_pos, per_dim = position_diversity(swarm, bounds, 10)
-        assert e_pos == 0.0
-        assert np.array_equal(per_dim, np.zeros(4))
+        reading = hybrid_diversity(build_swarm(np.zeros((10, 4))), bounds, 10)
+        assert reading.position_entropy == 0.0
+        assert np.array_equal(reading.per_dimension, np.zeros(4))
 
     def test_one_uniform_one_collapsed_dimension(self):
         bounds = Bounds.cube(0.0, 10.0, 2)
         spread = np.arange(10) + 0.5
         positions = np.column_stack([spread, np.full(10, 5.0)])
-        e_pos, per_dim = position_diversity(build_swarm(positions), bounds, 10)
-        assert per_dim[0] == pytest.approx(1.0, abs=1e-12)
-        assert per_dim[1] == 0.0
-        assert e_pos == pytest.approx(0.5, abs=1e-12)
+        reading = hybrid_diversity(build_swarm(positions), bounds, 10)
+        assert reading.per_dimension[0] == pytest.approx(1.0, abs=1e-12)
+        assert reading.per_dimension[1] == 0.0
+        assert reading.position_entropy == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_scalar_entropy_per_dimension(self):
         rng = np.random.default_rng(0)
         bounds = Bounds(np.array([-3.0, 0.0, 5.0]), np.array([2.0, 9.0, 6.0]))
         positions = rng.uniform(bounds.lower, bounds.upper, size=(25, 3))
-        _, per_dim = position_diversity(build_swarm(positions), bounds, 7)
+        per_dim = hybrid_diversity(build_swarm(positions), bounds, 7).per_dimension
         for d in range(3):
             scalar = histogram_entropy(
                 positions[:, d], (bounds.lower[d], bounds.upper[d]), 7
@@ -104,23 +111,26 @@ class TestPositionDiversity:
 
 
 class TestFitnessDiversity:
+    def fitness_entropy(self, swarm):
+        return hybrid_diversity(swarm, Bounds.cube(-1.0, 1.0, swarm.dimension), 10).fitness_entropy
+
     def test_equal_fitness(self):
         swarm = build_swarm(np.zeros((8, 2)), current_fitness=np.full(8, 3.0))
-        assert fitness_diversity(swarm, 10) == 0.0
+        assert self.fitness_entropy(swarm) == 0.0
 
     def test_uniform_fitness_bins(self):
         fitness = np.repeat(np.arange(10) + 0.5, 4)
         swarm = build_swarm(np.zeros((40, 2)), current_fitness=fitness)
         # observed range is [0.5, 9.5]; rebin against it explicitly
         assert histogram_entropy(fitness, (0.0, 10.0), 10) == pytest.approx(1.0, abs=1e-12)
-        assert fitness_diversity(swarm, 10) > 0.9
+        assert self.fitness_entropy(swarm) > 0.9
 
     def test_same_positions_different_fitness_distinguished(self):
         positions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         varied = build_swarm(positions, current_fitness=np.array([1.0, 5.0, 9.0, 13.0]))
         flat = build_swarm(positions, current_fitness=np.full(4, 4.0))
-        assert fitness_diversity(varied, 10) > 0.0
-        assert fitness_diversity(flat, 10) == 0.0
+        assert self.fitness_entropy(varied) > 0.0
+        assert self.fitness_entropy(flat) == 0.0
 
 
 class TestHybridDiversity:
@@ -273,8 +283,7 @@ class TestFusedHybridMatchesReference:
     @given(swarm_cases())
     def test_equal_field_by_field(self, case):
         bounds, swarm, bins = case
-        e_pos, per_dim = position_diversity(swarm, bounds, bins)
-        e_fit = fitness_diversity(swarm, bins)
+        e_pos, per_dim, e_fit = reference_reading(swarm, bounds, bins)
         reading = hybrid_diversity(swarm, bounds, bins)
         assert reading.position_entropy == e_pos
         assert reading.fitness_entropy == e_fit

@@ -176,6 +176,23 @@ class TestCampaign:
         with pytest.raises(ValueError, match=message):
             CampaignSpec(**{axis: entries}, config=TINY).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("runs", 2.5, "runs must be an integer, got 2.5"),
+            ("runs", True, "runs must be an integer, got True"),
+            ("jobs", 2.0, "jobs must be an integer, got 2.0"),
+            ("base_seed", 0.5, "base_seed must be an integer, got 0.5"),
+            ("base_seed", "3", "base_seed must be an integer, got '3'"),
+            ("dimensions", (2, 2.5), "each dimension must be an integer, got 2.5"),
+            ("dimensions", (False,), "each dimension must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_count_seed_or_dimension_rejected(self, field, value, message):
+        # a fractional base_seed would write seeds to runs.csv that no run used
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CampaignSpec(**{field: value}, config=TINY).validate()
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(algorithms=("simulated-annealing",)).validate()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import ampso.optimizer as optimizer_module
-from ampso.benchmarks import make_spec
-from ampso.core import Bounds
+from ampso.benchmarks import REGISTRY, make_spec
+from ampso.core import Bounds, ObjectiveSpec
 from ampso.optimizer import (
     CONVERGENCE,
     EXPLOITATION,
@@ -109,6 +109,16 @@ class TestConfig:
         result = run(AmpsoConfig(fe_budget=floor), spec, seed=0)
         assert 0 < result.fe_used <= floor
         assert math.isfinite(result.best_error) and result.trace
+
+    @pytest.mark.parametrize("seed", [1.7, True, "5"])
+    @pytest.mark.parametrize("run", [run_ampso, run_gpso])
+    def test_mistyped_seed_argument_rejected_before_any_evaluation(self, run, seed):
+        # the run's seed argument gets the same check as the config's seed field
+        calls = []
+        spec = sphere_with(3, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run(AmpsoConfig(fe_budget=2000), spec, seed=seed)
+        assert not calls
 
     def test_invalid_config_rejected_before_any_evaluation(self):
         spec = make_spec("sphere", 3)
@@ -348,8 +358,7 @@ def test_infinite_objective_rejected(run):
 def test_objective_cannot_move_the_swarm(run):
     # scaling its input in place would move the swarm out of the box and
     # leave best_error describing a point other than best_position
-    spec = make_spec("sphere", 3, bounds=Bounds.cube(-1.0, 1.0, 3))
-    spec.function = scaling_sphere
+    spec = ObjectiveSpec(3, Bounds.cube(-1.0, 1.0, 3), scaling_sphere)
     with pytest.raises(ValueError, match="^objective wrote into its read-only input: "):
         run(AmpsoConfig(fe_budget=3000), spec, seed=0)
 
@@ -369,7 +378,8 @@ def test_operands_never_cross_between_boxes():
 
     def fresh(name, run):
         bounds = boxes[name]
-        return run(config, make_spec("rastrigin", 3, bounds=Bounds(bounds.lower, bounds.upper)), seed=5)
+        spec = ObjectiveSpec(3, Bounds(bounds.lower, bounds.upper), REGISTRY["rastrigin"].function)
+        return run(config, spec, seed=5)
 
     expected = {(name, run): fresh(name, run) for name in boxes for run in (run_ampso, run_gpso)}
     for _ in range(3):

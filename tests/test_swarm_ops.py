@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampso.core import Bounds, BudgetExhausted, EvalCounter, RngStream, evaluate_batch, initialize_swarm
-from ampso.benchmarks import make_spec
+from ampso.core import Bounds, BudgetExhausted, EvalCounter, ObjectiveSpec, RngStream, evaluate_batch, initialize_swarm
+from ampso.benchmarks import REGISTRY, make_spec
 from ampso.diversity import hybrid_diversity
 from ampso.swarm_ops import (
     KinematicParams,
@@ -19,7 +19,7 @@ from conftest import StubRng, build_swarm
 
 
 def sphere_spec(dim, low=-100.0, high=100.0):
-    return make_spec("sphere", dim, bounds=Bounds.cube(low, high, dim))
+    return ObjectiveSpec(dim, Bounds.cube(low, high, dim), REGISTRY["sphere"].function)
 
 
 def params_for(spec, omega=0.5, c=1.49445):
@@ -392,4 +392,11 @@ class TestPsoStepPaths:
         stream = RngStream(5)
         assert np.array_equal(stream.uniform(size=(3, 4)), reference.uniform(0.0, 1.0, (3, 4)))
         assert stream.uniform() == reference.uniform(0.0, 1.0)
-        assert np.array_equal(stream.uniform(-1.0, 1.0, size=6), reference.uniform(-1.0, 1.0, 6))
+
+    def test_velocity_draw_equals_generator_uniform_over_plus_minus_one(self):
+        # the swarm builders draw velocities as u * 2 - 1 from [0, 1) draws; the
+        # digests of every run rest on this equalling Generator.uniform(-1, 1)
+        reference = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[0])
+        drawn = RngStream(5).uniform(size=(200, 7)) * 2.0 - 1.0
+        expected = reference.uniform(-1.0, 1.0, (200, 7))
+        assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
