@@ -137,15 +137,16 @@ def make_spec(
 ) -> ObjectiveSpec:
     """Pose a problem instance from a registry entry: f(rotation @ (x - shift)).
 
-    The box is the entry's default cube; another box is posed directly,
-    as ``ObjectiveSpec(dimension, box, REGISTRY[name].function)``.  For
-    entries whose raw optimum is the origin, the optimum moves to
-    ``shift`` (rotations fix the origin of the transformed frame, so they
-    do not move it further).  Non-orthogonal rotations are rejected.
+    The box is the entry's default cube in ``dimension`` dimensions.
+    Another box is posed directly, as ``ObjectiveSpec(box,
+    REGISTRY[name].function)``: the spec's dimension is its box's, and
+    its function must be callable.  For entries whose raw optimum is the
+    origin, the optimum moves to ``shift`` (rotations fix the origin of
+    the transformed frame, so they do not move it further).
+    Non-orthogonal rotations are rejected.
     """
     entry = get_entry(name)
     return ObjectiveSpec(
-        dimension=dimension,
         bounds=Bounds.cube(*entry.default_bounds, dimension),
         function=entry.function,
         shift=shift,

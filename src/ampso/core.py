@@ -9,6 +9,7 @@ reproducible and evaluation costs are auditable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,20 +144,16 @@ class Swarm:
         """Newly evaluated swarm whose personal bests are its positions.
 
         The global best is the best new particle, or ``incumbent``, a
-        (position, fitness) pair known before the swarm, unless beaten.
+        (position, fitness) pair known before the swarm, unless beaten;
+        :meth:`refresh_global_best` decides, starting from the incumbent or
+        from ``(positions[0], +inf)``.
         """
-        best = int(fitness.argmin())
-        if incumbent is None or fitness[best] < incumbent[1]:
-            incumbent = (positions[best], fitness[best])
-        return cls(
-            positions=positions,
-            velocities=velocities,
-            best_positions=positions.copy(),
-            best_fitness=fitness.copy(),
-            current_fitness=fitness,
-            global_best_position=np.array(incumbent[0], dtype=float),
-            global_best_fitness=float(incumbent[1]),
+        position, value = incumbent or (positions[0], math.inf)
+        swarm = cls(
+            positions, velocities, positions.copy(), fitness.copy(), fitness, np.array(position, dtype=float), float(value)
         )
+        swarm.refresh_global_best()
+        return swarm
 
     @property
     def size(self) -> int:
@@ -195,21 +192,17 @@ class ObjectiveSpec:
     The effective objective is ``f(rotation @ (x - shift))``.  ``function``
     must reduce over the last axis so batches of positions evaluate in one
     call.  ``optimum_value`` is the known minimum used for error reporting.
+    The dimension is the box's.
     """
 
-    dimension: int
     bounds: Bounds
-    function: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    function: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     shift: np.ndarray | None = None
     rotation: np.ndarray | None = None
     optimum_value: float = 0.0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        if self.bounds.dimension != self.dimension:
-            raise ValueError("bounds dimension does not match spec dimension")
-        if self.function is None:
+        if not callable(self.function):
             raise ValueError("an objective callable is required")
         if self.shift is not None:
             self.shift = np.asarray(self.shift, dtype=float)
@@ -227,6 +220,10 @@ class ObjectiveSpec:
                 residual = self.rotation.T @ self.rotation - np.eye(self.dimension)
             if not np.max(np.abs(residual)) <= ROTATION_ORTHO_TOL:  # written so a NaN residual fails
                 raise ValueError("rotation matrix is not orthogonal within tolerance")
+
+    @property
+    def dimension(self) -> int:
+        return self.bounds.dimension
 
     def transform(self, positions: np.ndarray) -> np.ndarray:
         """Map raw positions to the frame the registry function sees."""
@@ -266,6 +263,11 @@ class EvalCounter:
         self.used += n
 
 
+def is_integer(value) -> bool:
+    """An integer of any integral type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class RngStream:
     """Deterministic randomness for one run: a uniform and a Gaussian sequence.
 
@@ -276,10 +278,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        uniform_seq, gauss_seq = np.random.SeedSequence(seed).spawn(2)
+        if not is_integer(seed) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer that fits in an unsigned 64-bit integer, got {seed!r}")
+        uniform_seq, gauss_seq = np.random.SeedSequence(int(seed)).spawn(2)
         self._uniform = np.random.default_rng(uniform_seq)
         self._gauss = np.random.default_rng(gauss_seq)
 

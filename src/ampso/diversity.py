@@ -48,21 +48,29 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
     land in the last cell.  A range or a cell scale ``bins / (hi - lo)``
     past the float range is binned as everything divided by the largest
     magnitude of the range, so it reads without a floating-point warning.
+    A NaN or infinite value, or one outside [lo, hi] when hi > lo, is a
+    ``ValueError`` naming how many there are; so is a range with a NaN or
+    infinite end.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"values must be finite: {np.sum(~np.isfinite(values))} of {values.size} are not")
     if bins < 2:
         raise ValueError("bins must be at least 2")
     lo, hi = float(value_range[0]), float(value_range[1])
-    if hi < lo:
-        raise ValueError("range upper end must not be below its lower end")
+    if not -math.inf < lo <= hi < math.inf:  # written so a NaN end fails
+        raise ValueError(f"range must be finite with its upper end not below its lower end, got {value_range!r}")
     if hi == lo:
         return 0.0
+    outside = np.count_nonzero((values < lo) | (values > hi))
+    if outside:
+        raise ValueError(f"values must lie in [{lo!r}, {hi!r}]: {outside} of {values.size} do not")
     if not 0.0 < bins / (hi - lo) < math.inf:  # bin over the largest magnitude, whose range and scale fit
         top = max(abs(lo), abs(hi))
         values, lo, hi = values / top, lo / top, hi / top
-    # the int cast truncates toward zero; the clip repairs both edges
+    # the int cast truncates toward zero; the clip puts the upper edge in the last cell
     cells = ((values - lo) * (bins / (hi - lo if hi > lo else 1.0))).astype(np.intp).clip(0, bins - 1)
     p = np.bincount(cells, minlength=bins) / values.size
     terms = p * np.log(np.where(p > 0, p, 1.0))  # empty cells contribute log 1 = 0

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import get_entry, make_spec
+from .core import is_integer
 from .optimizer import AmpsoConfig, RunResult, TracePoint, run_ampso, run_gpso
 
 __all__ = [
@@ -91,7 +91,7 @@ class CampaignSpec:
         self.config.validate()
         counts = [("runs", self.runs), ("jobs", self.jobs), ("base_seed", self.base_seed)]
         for name, value in counts + [("each dimension", dim) for dim in self.dimensions]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")

@@ -32,7 +32,7 @@ from .adaptation import (
     reconstruct_probability,
     sigma_reconstruction,
 )
-from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm
+from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_integer
 from .diversity import DiversityReading, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
@@ -92,7 +92,7 @@ class AmpsoConfig:
             if hint == int | None and value is None:
                 continue
             if hint in (int, int | None):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not is_integer(value):
                     raise ConfigError(f"{name} must be an integer, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
@@ -388,7 +388,7 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     run.open_phase("gpso")
     swarm = run.fresh(size)
     history = FitnessHistory(window=config.rate_window)
-    run.log((swarm,), run.diversity(swarm).hybrid, math.nan, math.nan)
+    run.cover((swarm,))
     while counter.remaining >= size:
         run.iteration += 1
         omega = linear_inertia(run.iteration, run.total_iterations)

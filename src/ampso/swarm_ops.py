@@ -54,17 +54,6 @@ class KinematicParams(NamedTuple):
     speed: Bounds
 
 
-def _clip_into(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
-    """Clip ``values`` into [low, high] in place.
-
-    ``ndarray.clip`` is one ufunc call; the ``np.clip`` function adds a
-    Python wrapper, and ``np.maximum`` then ``np.minimum`` take two calls.
-    They agree on every value; a tie between signed zeros, possible only
-    against a zero bound, returns the bound from all three under numpy 2.4.
-    """
-    values.clip(low, high, out=values)
-
-
 def pso_step(
     swarm: Swarm,
     params: KinematicParams,
@@ -104,9 +93,12 @@ def pso_step(
     v *= params.omega
     v += r1
     v += r2
-    _clip_into(v, *params.speed.rows(n))
+    # ndarray.clip is one ufunc call; the np.clip function adds a Python
+    # wrapper, and np.maximum then np.minimum take two calls.  All three
+    # agree on every value, a tie between signed zeros included (numpy 2.4).
+    v.clip(*params.speed.rows(n), out=v)
     x += v
-    _clip_into(x, *spec.bounds.rows(n))
+    x.clip(*spec.bounds.rows(n), out=x)
     if subset is not None:  # fancy indexing handed out copies
         swarm.velocities[sel] = v
         swarm.positions[sel] = x
@@ -145,23 +137,27 @@ def spawn_artificial_swarm(
     if size < 1:
         raise ValueError("size must be at least 1")
     counter.require(size)
-    bounds = spec.bounds
-    positions = rng.normal(0.0, SPAWN_SPREAD, size=(size, spec.dimension))
-    positions *= bounds.span
-    positions += seed_position
-    _clip_into(positions, *bounds.rows(size))
+    positions = _cloud(seed_position, SPAWN_SPREAD, size, spec, rng)
     velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax
     fitness = evaluate_batch(spec, positions, counter)
     return Swarm.fresh(positions, velocities, fitness, incumbent=(seed_position, seed_fitness))
 
 
-def _install(swarm: Swarm, sel, positions: np.ndarray, fitness: np.ndarray) -> None:
-    """Put rebuilt particles at rows ``sel``: at rest, personal best = new point."""
-    swarm.positions[sel] = positions
+def _cloud(center: np.ndarray, sigma: float, n: int, spec: ObjectiveSpec, rng: RngStream) -> np.ndarray:
+    """``n`` points at center + span * g, g ~ N(0, sigma^2) per dimension, clipped to the box."""
+    positions = rng.normal(0.0, sigma, size=(n, spec.dimension))
+    positions *= spec.bounds.span
+    positions += center
+    positions.clip(*spec.bounds.rows(n), out=positions)
+    return positions
+
+
+def _install(swarm: Swarm, sel, positions: np.ndarray, spec: ObjectiveSpec, counter: EvalCounter) -> None:
+    """Evaluate rebuilt particles and put them at rows ``sel``: at rest, personal best = new point."""
+    fitness = evaluate_batch(spec, positions, counter)
+    swarm.positions[sel] = swarm.best_positions[sel] = positions
+    swarm.current_fitness[sel] = swarm.best_fitness[sel] = fitness
     swarm.velocities[sel] = 0.0
-    swarm.current_fitness[sel] = fitness
-    swarm.best_positions[sel] = positions
-    swarm.best_fitness[sel] = fitness
     swarm.refresh_global_best()
 
 
@@ -202,8 +198,8 @@ def partial_reconstruct(
     positions = np.empty((n_worst, swarm.dimension))
     positions[:] = swarm.global_best_position
     positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
-    _clip_into(positions, *spec.bounds.rows(n_worst))
-    _install(swarm, idx, positions, evaluate_batch(spec, positions, counter))
+    positions.clip(*spec.bounds.rows(n_worst), out=positions)
+    _install(swarm, idx, positions, spec, counter)
 
 
 def full_reconstruct(
@@ -224,8 +220,4 @@ def full_reconstruct(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     counter.require(swarm.size)
-    positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
-    positions *= spec.bounds.span
-    positions += swarm.global_best_position
-    _clip_into(positions, *spec.bounds.rows(swarm.size))
-    _install(swarm, slice(None), positions, evaluate_batch(spec, positions, counter))
+    _install(swarm, slice(None), _cloud(swarm.global_best_position, sigma, swarm.size, spec, rng), spec, counter)

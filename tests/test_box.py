@@ -33,7 +33,7 @@ def problems(draw):
     d = draw(st.integers(1, 5))
     lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
     width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
-    spec = ObjectiveSpec(d, Bounds(lower, lower + width), REGISTRY["sphere"].function)
+    spec = ObjectiveSpec(Bounds(lower, lower + width), REGISTRY["sphere"].function)
     return spec, draw(st.floats(0.001, 1.0)) * spec.bounds.span
 
 

@@ -5,19 +5,20 @@ from ampso.core import (
     Bounds,
     BudgetExhausted,
     EvalCounter,
+    ObjectiveSpec,
     RngStream,
+    Swarm,
     evaluate_batch,
     initialize_swarm,
 )
-from ampso.benchmarks import make_spec
-from ampso.swarm_ops import _clip_into
+from ampso.benchmarks import REGISTRY, make_spec
 from conftest import column_sphere, scaling_sphere, sphere_with, total_sphere
 
 
 def clipped(position, bounds: Bounds) -> np.ndarray:
     """A copy of ``position`` clipped the way every operator clips in place."""
     out = np.array(position, dtype=float)
-    _clip_into(out, bounds.lower, bounds.upper)
+    out.clip(bounds.lower, bounds.upper, out=out)
     return out
 
 
@@ -264,6 +265,43 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError, match="not orthogonal"):
             make_spec("sphere", 2, rotation=np.array([[1e200, 1e200], [1e200, -1e200]]))
 
+    @pytest.mark.parametrize("function", [None, 3.0])
+    def test_function_must_be_callable(self, function):
+        with pytest.raises(ValueError, match="an objective callable is required"):
+            ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), function)
+
+    def test_dimension_is_the_box_dimension(self):
+        box = Bounds.cube(-1.0, 1.0, 4)
+        assert ObjectiveSpec(box, REGISTRY["sphere"].function).dimension == box.dimension == 4
+
+
+class TestSwarmFresh:
+    POSITIONS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+    def fresh(self, fitness, incumbent=None):
+        positions = self.POSITIONS.copy()
+        return positions, Swarm.fresh(positions, np.zeros_like(positions), np.array(fitness), incumbent)
+
+    def test_particle_tying_the_incumbent_does_not_replace_it(self):
+        _, swarm = self.fresh([3.0, 1.0, 2.0], incumbent=(np.array([9.0, 9.0]), 1.0))
+        assert np.array_equal(swarm.global_best_position, [9.0, 9.0])
+        assert swarm.global_best_fitness == 1.0
+
+    def test_first_of_two_tied_new_bests_wins(self):
+        for incumbent in (None, (np.array([9.0, 9.0]), 5.0)):
+            _, swarm = self.fresh([2.0, 1.0, 1.0], incumbent)
+            assert np.array_equal(swarm.global_best_position, [2.0, 3.0])
+            assert swarm.global_best_fitness == 1.0
+
+    def test_global_best_position_is_a_copy(self):
+        positions, swarm = self.fresh([2.0, 1.0, 3.0])
+        positions[1] = swarm.best_positions[1] = -7.0
+        assert np.array_equal(swarm.global_best_position, [2.0, 3.0])
+        incumbent = np.array([9.0, 9.0])
+        _, swarm = self.fresh([2.0, 1.0, 3.0], incumbent=(incumbent, 0.5))
+        incumbent[:] = -7.0
+        assert np.array_equal(swarm.global_best_position, [9.0, 9.0])
+
 
 class TestRngStream:
     def test_same_seed_same_sequences(self):
@@ -296,6 +334,16 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would turn each of these into seed 1 and draw its stream
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_numpy_integer_seed_accepted(self, seed):
+        assert np.array_equal(RngStream(seed).uniform(size=3), RngStream(5).uniform(size=3))
 
 
 class TestInitializeSwarm:

@@ -81,6 +81,23 @@ class TestHistogramEntropy:
         with pytest.raises(ValueError):
             histogram_entropy([1.0], (1.0, 0.0), 10)
 
+    @pytest.mark.parametrize("value_range", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
+    def test_non_finite_range_rejected(self, value_range):
+        with pytest.raises(ValueError, match="range must be finite"):
+            histogram_entropy([0.5, 0.25], value_range, 10)
+
+    @pytest.mark.parametrize("value", [1e300, -5.0])
+    def test_value_outside_the_range_rejected(self, value):
+        # an unchecked cast would put either value in the first cell
+        with pytest.raises(ValueError, match=r"values must lie in \[0.0, 1.0\]: 1 of 3 do not"):
+            histogram_entropy([0.5, value, 0.25], (0.0, 1.0), 10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        for value_range in ((0.0, 1.0), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="values must be finite: 2 of 3 are not"):
+                histogram_entropy([value, 0.5, value], value_range, 10)
+
 
 class TestPositionDiversity:
     def test_collapsed_swarm(self):

@@ -358,7 +358,7 @@ def test_infinite_objective_rejected(run):
 def test_objective_cannot_move_the_swarm(run):
     # scaling its input in place would move the swarm out of the box and
     # leave best_error describing a point other than best_position
-    spec = ObjectiveSpec(3, Bounds.cube(-1.0, 1.0, 3), scaling_sphere)
+    spec = ObjectiveSpec(Bounds.cube(-1.0, 1.0, 3), scaling_sphere)
     with pytest.raises(ValueError, match="^objective wrote into its read-only input: "):
         run(AmpsoConfig(fe_budget=3000), spec, seed=0)
 
@@ -378,7 +378,7 @@ def test_operands_never_cross_between_boxes():
 
     def fresh(name, run):
         bounds = boxes[name]
-        spec = ObjectiveSpec(3, Bounds(bounds.lower, bounds.upper), REGISTRY["rastrigin"].function)
+        spec = ObjectiveSpec(Bounds(bounds.lower, bounds.upper), REGISTRY["rastrigin"].function)
         return run(config, spec, seed=5)
 
     expected = {(name, run): fresh(name, run) for name in boxes for run in (run_ampso, run_gpso)}

@@ -19,7 +19,7 @@ from conftest import StubRng, build_swarm
 
 
 def sphere_spec(dim, low=-100.0, high=100.0):
-    return ObjectiveSpec(dim, Bounds.cube(low, high, dim), REGISTRY["sphere"].function)
+    return ObjectiveSpec(Bounds.cube(low, high, dim), REGISTRY["sphere"].function)
 
 
 def params_for(spec, omega=0.5, c=1.49445):
