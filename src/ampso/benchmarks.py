@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds, ObjectiveSpec
+from .core import Bounds, ObjectiveSpec, is_integer
 
 __all__ = [
     "BenchmarkEntry",
@@ -146,6 +146,8 @@ def make_spec(
     Non-orthogonal rotations are rejected.
     """
     entry = get_entry(name)
+    if not is_integer(dimension) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
     return ObjectiveSpec(
         bounds=Bounds.cube(*entry.default_bounds, dimension),
         function=entry.function,

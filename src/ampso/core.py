@@ -8,9 +8,10 @@ reproducible and evaluation costs are auditable.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,12 @@ class BudgetExhausted(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bounds:
     """Box constraints of the search space, one interval per dimension.
+
+    Two boxes compare equal only when they are the same object, which is
+    how the swarm workspaces key the operands they bind from a box.
 
     ``lower``, ``upper`` and ``span`` are read-only copies, so the row
     blocks :meth:`rows` and :meth:`grid_scale` build from them once stay
@@ -115,13 +119,50 @@ def _repeat_rows(vector: np.ndarray, n: int) -> np.ndarray:
     return block
 
 
+class Workspace:
+    """Work arrays of one swarm, and the box operands bound to them.
+
+    The swarm's constructor builds it, so two swarms never share one.
+    ``targets`` is the (2, n, D) block of attractor targets: its first
+    half *is* the swarm's ``best_positions``, and its second half holds
+    ``gbest``, the global-best array last copied, on every row.  The
+    rest is scratch that holds whatever its last user left there:
+    ``attractors``; the ``improved`` row mask with its (n, 1) view
+    ``improved_rows``; and the diversity reading's flat ``block``, with
+    its (n, D) view ``cells``, its (n,) view ``fitness_cells`` and its
+    bin indices ``bins``.  :func:`~ampso.swarm_ops.pso_step` binds its
+    operands in ``step`` and :func:`~ampso.diversity.hybrid_diversity`
+    its own in ``reading``, on the first call that meets a given box;
+    after that each checks its key by identity only.
+    """
+
+    def __init__(self, best_positions: np.ndarray):
+        n, d = np.shape(best_positions)
+        self.targets = np.empty((2, n, d))
+        self.targets[0] = best_positions
+        self.attractors = np.empty((2, n, d))
+        self.improved = np.empty(n, bool)
+        self.improved_rows = self.improved[:, None]
+        self.block = np.empty(n * (d + 1))
+        self.cells = self.block[: n * d].reshape(n, d)
+        self.fitness_cells = self.block[n * d :]
+        self.bins = np.empty(self.block.shape, np.intp)
+        self.gbest = self.step_key = self.reading_key = None
+
+
 @dataclass
 class Swarm:
     """A population stored as row-per-particle matrices.
 
     ``global_best_*`` is the incumbent best ever observed by this swarm;
     reconstruction operators may replace the particle it came from, so it
-    is tracked separately and only ever improves.
+    is tracked separately and only ever improves.  The constructor copies
+    ``best_positions`` into the swarm's :class:`Workspace`: write into it,
+    never rebind it.  ``global_best_position`` is the other way round:
+    assign a new array, never write into it, so the workspace sees the
+    change by identity.  Copies, deep or shallow, are built through the
+    constructor and own every array: a shallow copy that shared the
+    fitness arrays but not the personal bests would break their pairing.
     """
 
     positions: np.ndarray
@@ -131,7 +172,14 @@ class Swarm:
     current_fitness: np.ndarray
     global_best_position: np.ndarray
     global_best_fitness: float
-    _scratch: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    work: Workspace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = Workspace(self.best_positions)
+        self.best_positions = self.work.targets[0]
+
+    def __reduce__(self):  # each field is copied, so a shallow copy too owns every array
+        return type(self), tuple(copy.copy(getattr(self, f.name)) for f in fields(self) if f.init)
 
     @classmethod
     def fresh(
@@ -149,9 +197,7 @@ class Swarm:
         from ``(positions[0], +inf)``.
         """
         position, value = incumbent or (positions[0], math.inf)
-        swarm = cls(
-            positions, velocities, positions.copy(), fitness.copy(), fitness, np.array(position, dtype=float), float(value)
-        )
+        swarm = cls(positions, velocities, positions, fitness.copy(), fitness, np.array(position, dtype=float), float(value))
         swarm.refresh_global_best()
         return swarm
 
@@ -162,20 +208,6 @@ class Swarm:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
-
-    def scratch(self, purpose: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        """A work array for one purpose and shape, built once per swarm.
-
-        The operators write their temporaries into these instead of
-        allocating them on every call; an array holds whatever its last
-        user left there.  They die with the swarm, so two swarms never
-        share one.
-        """
-        key = (purpose, shape)
-        array = self._scratch.get(key)
-        if array is None:
-            array = self._scratch[key] = np.empty(shape, dtype)
-        return array
 
     def refresh_global_best(self) -> None:
         """Pull the global best down to the best personal best, keeping the incumbent."""
@@ -291,9 +323,9 @@ class RngStream:
     def normal(self, mean: float = 0.0, sd: float = 1.0, size=None):
         return self._gauss.normal(mean, sd, size)
 
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integers in [low, high), from the uniform sequence."""
-        return self._uniform.integers(low, high, size)
+    def integers(self, high: int, size=None):
+        """Uniform integers in [0, high), from the uniform sequence."""
+        return self._uniform.integers(high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._uniform.permutation(n)

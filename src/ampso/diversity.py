@@ -78,9 +78,7 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
 
 
 @lru_cache(maxsize=64)
-def _histogram_constants(
-    n: int, d: int, bins: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+def _histogram_constants(n: int, d: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
 
     Returns the table of p log p indexed by occupancy count 0..n (the
@@ -112,8 +110,10 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     one ``bincount`` (whose counts do not depend on the order of the
     values), and p log p read from a table indexed by count.  A fitness
     range past the float range takes the same detour as in
-    :func:`histogram_entropy`.  The flat block and its bin indices live in
-    the swarm's scratch arrays.
+    :func:`histogram_entropy`.  A position outside the box, which no
+    operator leaves, counts in an edge cell of its own dimension.  The
+    flat block, its bin indices and the operands bound from the box live
+    in the swarm's :class:`~ampso.core.Workspace`.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -121,15 +121,19 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
         raise ValueError("swarm must be non-empty")
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    plogp, offsets, first, last, neg_log_bins = _histogram_constants(n, d, bins)
+    work = swarm.work
+    key = (bounds, bins)
+    if key != work.reading_key:
+        work.reading_key = key
+        work.reading = (bounds.rows(n)[0], bounds.grid_scale(n, bins), *_histogram_constants(n, d, bins))
+    lower, grid_scale, plogp, offsets, first, last, neg_log_bins = work.reading
     # in Python floats a range or scale past the float range reads inf or 0, without a warning
     f_lo, f_hi = float(fitness[fitness.argmin()]), float(fitness[fitness.argmax()])
     f_scale = bins / (f_hi - f_lo) if f_hi != f_lo else 1.0
 
-    block = swarm.scratch("cells", (n * (d + 1),))
-    cells, fitness_cells = block[: n * d].reshape(n, d), block[n * d :]
-    np.subtract(positions, bounds.rows(n)[0], out=cells)
-    cells *= bounds.grid_scale(n, bins)
+    block, cells, fitness_cells, idx = work.block, work.cells, work.fitness_cells, work.bins
+    np.subtract(positions, lower, out=cells)
+    cells *= grid_scale
     if 0.0 < f_scale < math.inf:
         np.subtract(fitness, f_lo, out=fitness_cells)
         fitness_cells *= f_scale
@@ -138,8 +142,9 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
         np.divide(fitness, top, out=fitness_cells)
         fitness_cells -= f_lo / top
         fitness_cells *= bins / (f_hi / top - f_lo / top)
-    # the unsafe cast truncates toward zero, as astype does; the clamps repair both edges
-    idx = swarm.scratch("bins", block.shape, np.intp)
+    # the unsafe cast truncates toward zero, as astype does; the clamps
+    # put the upper edge in the last cell and keep every index in its own
+    # dimension's bins
     np.copyto(idx, block, casting="unsafe")
     np.maximum(idx, first, out=idx)
     np.minimum(idx, last, out=idx)

@@ -192,6 +192,7 @@ class _Run:
         self.config = config
         self.spec = copy.copy(spec)
         self.spec.bounds = Bounds(spec.bounds.lower, spec.bounds.upper)
+        self.spec.__post_init__()  # its fields may have been reassigned since it was checked
         self.rng = RngStream(config.seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
         self.total_iterations = self.counter.budget // config.convergence_size

@@ -69,36 +69,45 @@ def pso_step(
     position clipped to the bounds, then one re-evaluation per particle.
     Unselected particles are untouched.  Draw order: one (2, n, D) uniform
     block, r1 then r2 (the same stream as an r1 block followed by an r2
-    block).  The attractors pbest - x and gbest - x and the mask of
-    improved particles live in the swarm's scratch arrays.
+    block).  Both attractors come from one subtraction out of the swarm's
+    (pbest, gbest) target block; they, the row blocks of both boxes and
+    the mask of improved particles live in the swarm's
+    :class:`~ampso.core.Workspace`, and a subset step uses their leading
+    rows.
     """
+    work = swarm.work
+    if swarm.global_best_position is not work.gbest:
+        work.targets[1] = work.gbest = swarm.global_best_position
     if subset is None:
         sel = slice(None)  # a slice selects views, so the in-place updates write through
+        x, v, targets = swarm.positions, swarm.velocities, work.targets
     else:
         sel = np.asarray(subset, dtype=np.intp)
-    x = swarm.positions[sel]
+        x, v, targets = swarm.positions[sel], swarm.velocities[sel], work.targets[:, sel]
     n = len(x)
+    key = (spec.bounds, params.speed, params.c1, params.c2, n)
+    if key != work.step_key:  # bind the leading n rows of the attractors, c1 then c2, and both boxes' row blocks
+        attractors = work.attractors[:, :n]
+        coefficients = np.empty(attractors.shape)
+        coefficients[0], coefficients[1] = params.c1, params.c2
+        work.step_key, work.step = key, (attractors, coefficients, *spec.bounds.rows(n), *params.speed.rows(n))
+    attractors, coefficients, lower, upper, v_lower, v_upper = work.step
     counter.require(n)
-    v = swarm.velocities[sel]
-    r = rng.uniform(size=(2, n, swarm.dimension))
-    attractors = swarm.scratch("attractors", r.shape)
-    to_best, to_global = attractors[0], attractors[1]
-    np.subtract(swarm.best_positions[sel], x, out=to_best)
-    to_global[...] = swarm.global_best_position  # a same-shape operand skips the broadcast set-up
-    np.subtract(to_global, x, out=to_global)
-    r1, r2 = r[0], r[1]
-    r1 *= params.c1
-    r2 *= params.c2
+    r = rng.uniform(size=attractors.shape)
+    np.subtract(targets, x, out=attractors)
+    r *= coefficients
     r *= attractors
     v *= params.omega
-    v += r1
-    v += r2
-    # ndarray.clip is one ufunc call; the np.clip function adds a Python
-    # wrapper, and np.maximum then np.minimum take two calls.  All three
-    # agree on every value, a tie between signed zeros included (numpy 2.4).
-    v.clip(*params.speed.rows(n), out=v)
+    v += r[0]
+    v += r[1]
+    # np.maximum then np.minimum is np.clip bit for bit, a tie between
+    # signed zeros included; ndarray.clip adds a Python wrapper that costs
+    # more than the second ufunc call from about 40 rows up (numpy 2.4)
+    np.maximum(v, v_lower, out=v)
+    np.minimum(v, v_upper, out=v)
     x += v
-    x.clip(*spec.bounds.rows(n), out=x)
+    np.maximum(x, lower, out=x)
+    np.minimum(x, upper, out=x)
     if subset is not None:  # fancy indexing handed out copies
         swarm.velocities[sel] = v
         swarm.positions[sel] = x
@@ -106,14 +115,13 @@ def pso_step(
     # fold the fresh evaluations into the personal and global bests; the
     # mask holds only selected rows, so no other row is written
     swarm.current_fitness[sel] = fitness
-    improved = swarm.scratch("improved", (swarm.size,), bool)
     if subset is None:
-        np.less(fitness, swarm.best_fitness, out=improved)
+        np.less(fitness, swarm.best_fitness, out=work.improved)
     else:
-        improved.fill(False)
-        improved[sel] = fitness < swarm.best_fitness[sel]
-    np.copyto(swarm.best_fitness, swarm.current_fitness, where=improved)
-    np.copyto(swarm.best_positions, swarm.positions, where=improved[:, None])
+        work.improved.fill(False)
+        work.improved[sel] = fitness < swarm.best_fitness[sel]
+    np.copyto(swarm.best_fitness, swarm.current_fitness, where=work.improved)
+    np.copyto(swarm.best_positions, swarm.positions, where=work.improved_rows)
     swarm.refresh_global_best()
 
 
@@ -193,7 +201,7 @@ def partial_reconstruct(
 
     idx = _worst_indices(swarm.current_fitness, n_worst)
     counter.require(n_worst)
-    dims = rng.integers(0, swarm.dimension, size=n_worst)
+    dims = rng.integers(swarm.dimension, size=n_worst)
     r = rng.normal(0.0, sigma, size=n_worst)
     positions = np.empty((n_worst, swarm.dimension))
     positions[:] = swarm.global_best_position

@@ -58,8 +58,8 @@ class StubRng:
             return mean + sd * self.normal_value
         return mean + sd * np.full(size, self.normal_value, dtype=float)
 
-    def integers(self, low, high, size=None):
-        value = min(max(self.integer_value, low), high - 1)
+    def integers(self, high, size=None):
+        value = min(max(self.integer_value, 0), high - 1)
         if size is None:
             return value
         return np.full(size, value, dtype=np.intp)

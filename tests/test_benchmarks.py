@@ -94,6 +94,12 @@ class TestRegistryValues:
         # the per-dimension offset equals the magnitude of the 1-D minimum
         assert -res.fun == pytest.approx(418.9828872724338, abs=1e-9)
 
+    @pytest.mark.parametrize("dimension", [0, -3, True, 2.0])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        # named before any box is built, so the message is about the dimension
+        with pytest.raises(ValueError, match=rf"^dimension must be a positive integer, got {dimension!r}$"):
+            make_spec("sphere", dimension)
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(UnknownFunctionError) as err:
             make_spec("nosuch", 2)

@@ -308,8 +308,19 @@ class TestRngStream:
         a, b = RngStream(42), RngStream(42)
         assert np.array_equal(a.uniform(size=100), b.uniform(size=100))
         assert np.array_equal(a.normal(size=100), b.normal(size=100))
-        assert np.array_equal(a.integers(0, 10, size=50), b.integers(0, 10, size=50))
+        assert np.array_equal(a.integers(10, size=50), b.integers(10, size=50))
         assert np.array_equal(a.permutation(20), b.permutation(20))
+
+    def test_integers_draw_the_generator_stream_from_zero(self):
+        # partial_reconstruct's dimension picks: integers(high, size) must draw
+        # what Generator.integers(0, high, size) draws, and leave the uniform
+        # sequence where it leaves it, or every golden digest breaks
+        reference = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[0])
+        stream = RngStream(7)
+        for high in (1, 2, 10, 100):
+            for _ in range(250):
+                assert np.array_equal(stream.integers(high, size=10), reference.integers(0, high, 10))
+        assert stream.uniform() == reference.random()
 
     def test_uniform_range(self):
         draws = RngStream(1).uniform(size=100_000)

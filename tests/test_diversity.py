@@ -126,6 +126,22 @@ class TestPositionDiversity:
             )
             assert per_dim[d] == scalar
 
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [[0.5, -3.0], [0.2, 0.1], [0.9, 0.9]],  # below the box past dimension 0
+            [[-3.0, 0.5], [0.2, 0.1], [0.9, 0.9]],
+            [[0.5, 3.0], [0.2, 0.1], [7.0, 0.9]],  # above it
+        ],
+    )
+    def test_outside_the_box_counts_in_its_own_edge_cell(self, positions):
+        bounds = Bounds.cube(-1.0, 1.0, 2)
+        positions = np.array(positions)
+        edge = np.clip(positions, bounds.lower, bounds.upper)
+        reading = hybrid_diversity(build_swarm(positions), bounds, 10)
+        assert np.array_equal(reading.per_dimension, hybrid_diversity(build_swarm(edge), bounds, 10).per_dimension)
+        assert np.array_equal(reading.per_dimension, reference_reading(build_swarm(edge), bounds, 10)[1])
+
 
 class TestFitnessDiversity:
     def fitness_entropy(self, swarm):

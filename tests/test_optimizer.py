@@ -370,6 +370,15 @@ def test_wrong_result_shape_rejected(run, objective, shape):
         run(AmpsoConfig(fe_budget=3000), sphere_with(2, objective), seed=0)
 
 
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_objective_reassigned_to_none_rejected(run):
+    # the spec checked its function when it was built; the run checks its copy again
+    spec = make_spec("sphere", 2)
+    spec.function = None
+    with pytest.raises(ValueError, match="^an objective callable is required$"):
+        run(AmpsoConfig(fe_budget=100), spec)
+
+
 def test_operands_never_cross_between_boxes():
     # same dimension, different boxes: every run must match a first run on a fresh spec,
     # however often specs are dropped and rebuilt in between

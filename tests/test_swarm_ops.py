@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampso.core import Bounds, BudgetExhausted, EvalCounter, ObjectiveSpec, RngStream, evaluate_batch, initialize_swarm
+from ampso.core import (
+    Bounds,
+    BudgetExhausted,
+    EvalCounter,
+    ObjectiveSpec,
+    RngStream,
+    Swarm,
+    evaluate_batch,
+    initialize_swarm,
+)
 from ampso.benchmarks import REGISTRY, make_spec
 from ampso.diversity import hybrid_diversity
 from ampso.swarm_ops import (
@@ -305,7 +314,8 @@ class TestOperatorInvariants:
 
     def test_isolated_swarms_do_not_couple(self):
         # two equal-size swarms read and stepped in alternation end bit for
-        # bit as each one read and stepped alone: no scratch array is shared
+        # bit as each one read and stepped alone: each swarm's workspace is
+        # its own, so no work array or bound operand is shared
         spec = make_spec("ackley", 3)
         vmax = 0.01 * spec.bounds.span
         params = params_for(spec, omega=0.7)
@@ -327,6 +337,118 @@ class TestOperatorInvariants:
                 for name in ("positions", "velocities", "best_positions", "best_fitness", "current_fitness"):
                     assert np.array_equal(getattr(swarm, name), getattr(solo, name)), name
                 assert swarm.global_best_fitness == solo.global_best_fitness
+
+
+STATE = ("positions", "velocities", "best_positions", "best_fitness", "current_fitness", "global_best_position")
+
+
+def rebuilt(swarm):
+    """The swarm's state in a swarm built afresh, with copies of every array."""
+    return Swarm(**{name: getattr(swarm, name).copy() for name in STATE}, global_best_fitness=swarm.global_best_fitness)
+
+
+def textbook_update(swarm, params, spec, draws):
+    """Velocities and positions after one whole-swarm step, written as the
+    textbook does: an r1 block then an r2 block, v and x clipped with np.clip."""
+    r1, r2 = draws.uniform(size=swarm.positions.shape), draws.uniform(size=swarm.positions.shape)
+    x = swarm.positions.copy()
+    v = (
+        params.omega * swarm.velocities
+        + params.c1 * r1 * (swarm.best_positions - x)
+        + params.c2 * r2 * (swarm.global_best_position - x)
+    )
+    v = np.clip(v, params.speed.lower, params.speed.upper)
+    return v, np.clip(x + v, spec.bounds.lower, spec.bounds.upper)
+
+
+def assert_same_state(a, b):
+    for name in STATE:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.global_best_fitness == b.global_best_fitness
+
+
+class TestSwarmWorkspace:
+    def test_deep_copy_steps_like_its_original_and_shares_no_array(self):
+        spec = make_spec("rastrigin", 10)
+        vmax = 0.01 * spec.bounds.span
+        params = params_for(spec, omega=0.7)
+        original = initialize_swarm(spec, 40, RngStream(31), vmax, EvalCounter(budget=40))
+        pso_step(original, params, spec, RngStream(32), EvalCounter(budget=40))  # operands bound before the copy
+        twin = copy.deepcopy(original)
+        rngs = RngStream(33), RngStream(33)
+        for step in range(40):
+            subset = None if step < 20 else np.arange(step % 3, 40, 3)
+            readings = [repr(hybrid_diversity(swarm, spec.bounds, 10)[:3]) for swarm in (original, twin)]
+            for swarm, rng in zip((original, twin), rngs):
+                pso_step(swarm, params, spec, rng, EvalCounter(budget=40), subset)
+            assert readings[0] == readings[1]
+            assert_same_state(original, twin)
+        for name in STATE:
+            assert not np.shares_memory(getattr(original, name), getattr(twin, name)), name
+
+    def test_copies_are_built_through_the_constructor(self):
+        spec = make_spec("sphere", 3)
+        swarm = initialize_swarm(spec, 6, RngStream(34), 0.01 * spec.bounds.span, EvalCounter(budget=6))
+        for twin in (copy.copy(swarm), copy.deepcopy(swarm)):
+            assert np.shares_memory(twin.best_positions, twin.work.targets)
+            assert not np.shares_memory(twin.work.targets, swarm.work.targets)
+            assert_same_state(twin, swarm)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_stepping_a_copy_leaves_its_original_alone(self, copier):
+        spec = make_spec("rastrigin", 4)
+        params = params_for(spec, omega=0.7)
+        original = initialize_swarm(spec, 8, RngStream(35), 0.1 * spec.bounds.span, EvalCounter(budget=8))
+        before = copy.deepcopy(original)
+        twin = copier(original)
+        rng = RngStream(36)
+        for _ in range(5):
+            pso_step(twin, params, spec, rng, EvalCounter(budget=8))
+        assert np.any(twin.best_fitness < before.best_fitness)
+        assert_same_state(original, before)
+        # every personal best is still the position that scored it
+        assert np.array_equal(evaluate_batch(spec, original.best_positions, EvalCounter(budget=8)), original.best_fitness)
+        for name in STATE:
+            assert not np.shares_memory(getattr(original, name), getattr(twin, name)), name
+
+    def test_new_bests_reach_the_next_step(self):
+        # personal bests written into the swarm and a newly assigned global
+        # best: the next step uses both, exactly as the textbook update of
+        # test_matches_textbook_update does
+        spec = make_spec("rastrigin", 10)
+        vmax = 0.01 * spec.bounds.span
+        swarm = initialize_swarm(spec, 40, RngStream(8), vmax, EvalCounter(budget=40))
+        params = KinematicParams(0.7, 1.49445, 1.49445, Bounds(-vmax, vmax))
+        pso_step(swarm, params, spec, RngStream(7), EvalCounter(budget=40))  # binds the current bests
+        moved = np.random.default_rng(3).uniform(-5.0, 5.0, (21, 10))
+        swarm.best_positions[::2] = moved[:20]
+        swarm.global_best_position = moved[20]
+        v, x = textbook_update(swarm, params, spec, RngStream(9))
+        pso_step(swarm, params, spec, RngStream(9), EvalCounter(budget=40))
+        assert np.array_equal(swarm.velocities, v)
+        assert np.array_equal(swarm.positions, x)
+
+    def test_operands_follow_each_box_and_velocity_box(self):
+        # one swarm read and stepped under two boxes, two velocity boxes and
+        # two coefficient pairs in turn matches a swarm built afresh each
+        # time; the boxes share their lower bounds, so every position lies
+        # at or above both and reads under either
+        wide = make_spec("rastrigin", 4)
+        tall = ObjectiveSpec(Bounds(wide.bounds.lower, np.array([5.12, 6.0, 8.0, 9.5])), wide.function)
+        kinematics = (
+            params_for(wide, omega=0.7),
+            KinematicParams(0.6, 1.2, 1.7, Bounds(np.full(4, -0.3), np.full(4, 0.3))),
+        )
+        swarm = initialize_swarm(wide, 8, RngStream(41), 0.01 * wide.bounds.span, EvalCounter(budget=8))
+        for step in range(24):
+            spec, params = (wide, tall)[step % 2], kinematics[step // 2 % 2]
+            subset = None if step % 3 else np.array([6, 1, 3])
+            fresh = rebuilt(swarm)
+            readings = [repr(hybrid_diversity(s, spec.bounds, (5, 9)[step // 4 % 2])[:3]) for s in (swarm, fresh)]
+            for s in (swarm, fresh):
+                pso_step(s, params, spec, RngStream(step), EvalCounter(budget=8), subset)
+            assert readings[0] == readings[1]
+            assert_same_state(swarm, fresh)
 
 
 class TestPsoStepPaths:
@@ -361,16 +483,7 @@ class TestPsoStepPaths:
         vmax = 0.01 * spec.bounds.span
         swarm = initialize_swarm(spec, 40, RngStream(8), vmax, EvalCounter(budget=40))
         params = KinematicParams(0.7, 1.49445, 1.49445, Bounds(-vmax, vmax))
-        draws = RngStream(9)
-        r1, r2 = draws.uniform(size=(40, 10)), draws.uniform(size=(40, 10))
-        x = swarm.positions.copy()
-        v = (
-            params.omega * swarm.velocities
-            + params.c1 * r1 * (swarm.best_positions - x)
-            + params.c2 * r2 * (swarm.global_best_position - x)
-        )
-        v = np.clip(v, -vmax, vmax)
-        x = np.clip(x + v, spec.bounds.lower, spec.bounds.upper)
+        v, x = textbook_update(swarm, params, spec, RngStream(9))
         pso_step(swarm, params, spec, RngStream(9), EvalCounter(budget=40))
         assert np.array_equal(swarm.velocities, v)
         assert np.array_equal(swarm.positions, x)
