@@ -123,29 +123,36 @@ class Workspace:
     """Work arrays of one swarm, and the box operands bound to them.
 
     The swarm's constructor builds it, so two swarms never share one.
-    ``targets`` is the (2, n, D) block of attractor targets: its first
-    half *is* the swarm's ``best_positions``, and its second half holds
-    ``gbest``, the global-best array last copied, on every row.  The
-    rest is scratch that holds whatever its last user left there:
-    ``attractors``; the ``improved`` row mask with its (n, 1) view
-    ``improved_rows``; and the diversity reading's flat ``block``, with
-    its (n, D) view ``cells``, its (n,) view ``fitness_cells`` and its
-    bin indices ``bins``.  :func:`~ampso.swarm_ops.pso_step` binds its
-    operands in ``step`` and :func:`~ampso.diversity.hybrid_diversity`
-    its own in ``reading``, on the first call that meets a given box;
-    after that each checks its key by identity only.
+    ``groups`` is the shape of the swarm's ``global_best_fitness``: () for
+    a swarm of one group, (k,) for k groups of ``size`` rows starting at
+    ``starts``.  ``targets`` is the (2, n, D) block of attractor targets:
+    its first half *is* the swarm's ``best_positions``, and its second
+    half (``group_targets`` views it as k groups) holds ``gbest``, the
+    group bests last copied, on every row of each group.  The rest is
+    scratch that holds whatever its last user left there: the
+    ``improved`` row mask with its (n, 1) view ``improved_rows``; and the
+    diversity reading's flat ``block``, with its (n, D) view ``cells``,
+    ``fitness_groups`` pairing each group's rows with its view of the n
+    values after them, and its bin indices ``bins``.
+    :func:`~ampso.swarm_ops.pso_step` binds its operands in ``step`` and
+    :func:`~ampso.diversity.hybrid_diversity` its own in ``reading``, on
+    the first call that meets a given box; after that each checks its key
+    by identity only.
     """
 
-    def __init__(self, best_positions: np.ndarray):
-        n, d = np.shape(best_positions)
+    def __init__(self, swarm: "Swarm"):
+        n, d = np.shape(swarm.best_positions)
+        self.groups = np.shape(swarm.global_best_fitness)
+        self.size = s = n // np.size(swarm.global_best_fitness)
+        self.starts = range(0, n, s)
         self.targets = np.empty((2, n, d))
-        self.targets[0] = best_positions
-        self.attractors = np.empty((2, n, d))
+        self.targets[0] = swarm.best_positions
+        self.group_targets = self.targets[1].reshape(n // s, s, d)
         self.improved = np.empty(n, bool)
         self.improved_rows = self.improved[:, None]
         self.block = np.empty(n * (d + 1))
         self.cells = self.block[: n * d].reshape(n, d)
-        self.fitness_cells = self.block[n * d :]
+        self.fitness_groups = [(slice(i, i + s), self.block[n * d + i : n * d + i + s]) for i in self.starts]
         self.bins = np.empty(self.block.shape, np.intp)
         self.gbest = self.step_key = self.reading_key = None
 
@@ -155,14 +162,18 @@ class Swarm:
     """A population stored as row-per-particle matrices.
 
     ``global_best_*`` is the incumbent best ever observed by this swarm;
-    reconstruction operators may replace the particle it came from, so it
-    is tracked separately and only ever improves.  The constructor copies
-    ``best_positions`` into the swarm's :class:`Workspace`: write into it,
-    never rebind it.  ``global_best_position`` is the other way round:
-    assign a new array, never write into it, so the workspace sees the
-    change by identity.  Copies, deep or shallow, are built through the
-    constructor and own every array: a shallow copy that shared the
-    fitness arrays but not the personal bests would break their pairing.
+    reconstruction operators may replace the particle it came from, so it is
+    tracked separately and only ever improves.  A swarm of k equal groups
+    (:meth:`stack`) holds its groups' rows back to back and one incumbent
+    per group: a (k, 1, D) ``global_best_position`` and a list of k floats
+    ``global_best_fitness``; a group's particles are drawn only to their own
+    group's best.  The constructor copies ``best_positions`` into the
+    swarm's :class:`Workspace`: write into it, never rebind it.
+    ``global_best_position`` is the other way round: assign a new array,
+    never write into it, so the workspace sees the change by identity.
+    Copies, deep or shallow, are built through the constructor and own every
+    array: a shallow copy that shared the fitness arrays but not the
+    personal bests would break their pairing.
     """
 
     positions: np.ndarray
@@ -171,11 +182,11 @@ class Swarm:
     best_fitness: np.ndarray
     current_fitness: np.ndarray
     global_best_position: np.ndarray
-    global_best_fitness: float
+    global_best_fitness: float | list[float]
     work: Workspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.work = Workspace(self.best_positions)
+        self.work = Workspace(self)
         self.best_positions = self.work.targets[0]
 
     def __reduce__(self):  # each field is copied, so a shallow copy too owns every array
@@ -201,6 +212,16 @@ class Swarm:
         swarm.refresh_global_best()
         return swarm
 
+    @classmethod
+    def stack(cls, swarms: list["Swarm"]) -> "Swarm":
+        """One swarm whose k groups are the k equal-sized one-group ``swarms``, in order.
+
+        Stepped and read, it moves and reads as each of them would in turn.
+        """
+        rows = [np.concatenate([getattr(s, f.name) for s in swarms]) for f in fields(cls)[:5]]  # the per-particle fields
+        bests = np.array([s.global_best_position for s in swarms])[:, None]
+        return cls(*rows, bests, [s.global_best_fitness for s in swarms])
+
     @property
     def size(self) -> int:
         return self.positions.shape[0]
@@ -209,12 +230,33 @@ class Swarm:
     def dimension(self) -> int:
         return self.positions.shape[1]
 
+    @property
+    def best(self) -> tuple[np.ndarray, float]:
+        """(position, fitness) of the global best; of k groups, the first best group's."""
+        if not self.work.groups:
+            return self.global_best_position, self.global_best_fitness
+        g = self.global_best_fitness.index(min(self.global_best_fitness))
+        return self.global_best_position[g, 0], self.global_best_fitness[g]
+
     def refresh_global_best(self) -> None:
-        """Pull the global best down to the best personal best, keeping the incumbent."""
-        i = int(self.best_fitness.argmin())
-        if self.best_fitness[i] < self.global_best_fitness:
-            self.global_best_fitness = float(self.best_fitness[i])
-            self.global_best_position = self.best_positions[i].copy()
+        """Pull each group's best down to its best personal best, keeping the incumbent."""
+        if not self.work.groups:
+            i = int(self.best_fitness.argmin())
+            if self.best_fitness[i] < self.global_best_fitness:
+                self.global_best_fitness = float(self.best_fitness[i])
+                self.global_best_position = self.best_positions[i].copy()
+            return
+        # a few groups of a few rows: Python's min and index find what argmin does, for less
+        fitness, bests, position, s = self.best_fitness.tolist(), self.global_best_fitness, None, self.work.size
+        for g, start in enumerate(self.work.starts):
+            value = min(fitness[start : start + s])
+            if value < bests[g]:
+                if position is None:  # a new array, so the workspace sees the change
+                    position, bests = self.global_best_position.copy(), list(bests)
+                position[g, 0] = self.best_positions[fitness.index(value, start)]
+                bests[g] = value
+        if position is not None:
+            self.global_best_position, self.global_best_fitness = position, bests
 
 
 @dataclass
@@ -291,7 +333,8 @@ class EvalCounter:
 
     def spend(self, n: int = 1) -> None:
         """Consume ``n`` evaluations, or raise without consuming anything."""
-        self.require(n)
+        if self.used + n > self.budget:  # checked inline: a call saved on every evaluation
+            self.require(n)
         self.used += n
 
 

@@ -31,7 +31,10 @@ __all__ = [
 
 
 class DiversityReading(NamedTuple):
-    """Per-iteration diversity snapshot feeding the control laws."""
+    """Per-iteration diversity snapshot feeding the control laws.
+
+    Of a swarm of k groups, each field holds one reading per group.
+    """
 
     position_entropy: float
     fitness_entropy: float
@@ -78,24 +81,27 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
 
 
 @lru_cache(maxsize=64)
-def _histogram_constants(n: int, d: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Read-only constants of :func:`hybrid_diversity` for one swarm shape.
+def _histogram_constants(shape: tuple[int, int, int], bins: int) -> tuple:
+    """Read-only constants of :func:`hybrid_diversity` for k groups of s rows in D dimensions.
 
-    Returns the table of p log p indexed by occupancy count 0..n (the
+    Returns the table of p log p indexed by occupancy count 0..s (the
     exact terms :func:`histogram_entropy` computes), the flat bincount
     offset of every value of an (n, D) position block followed by n
-    fitness values, the first and last bin index repeated over that flat
-    block (a same-shape operand costs less than a scalar), and -log(bins):
-    dividing by it negates exactly, signed zeros included, so the entropy
-    takes one operation fewer.
+    fitness values (each group's D + 1 histograms after the previous
+    group's), the first and last bin index repeated over that flat block
+    (a same-shape operand costs less than a scalar), -log(bins): dividing
+    by it negates exactly, signed zeros included, so the entropy takes one
+    operation fewer, and the number of cells.
     """
-    p = np.arange(n + 1) / n
+    k, s, d = shape
+    p = np.arange(s + 1) / s
     plogp = p * np.log(np.where(p > 0, p, 1.0))
-    offsets = np.concatenate([np.tile(np.arange(d) * bins, n), np.full(n, d * bins)])
+    group = np.repeat(np.arange(k) * (d + 1) * bins, s)
+    offsets = np.concatenate([(group[:, None] + np.arange(d) * bins).ravel(), group + d * bins])
     first, last = np.zeros_like(offsets), np.full_like(offsets, bins - 1)
     for table in (plogp, offsets, first, last):
         table.setflags(write=False)
-    return plogp, offsets, first, last, -np.log(bins)
+    return plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins
 
 
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
@@ -114,6 +120,11 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     operator leaves, counts in an edge cell of its own dimension.  The
     flat block, its bin indices and the operands bound from the box live
     in the swarm's :class:`~ampso.core.Workspace`.
+
+    A swarm of k groups is read as k swarms, in the same ``bincount``:
+    each group's fitness over its own [min, max], the detour taken per
+    group.  Each field then holds one reading per group: a list of k
+    floats, and a (k, D) ``per_dimension``.
     """
     positions, fitness = swarm.positions, swarm.current_fitness
     n, d = positions.shape
@@ -125,38 +136,44 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     key = (bounds, bins)
     if key != work.reading_key:
         work.reading_key = key
-        work.reading = (bounds.rows(n)[0], bounds.grid_scale(n, bins), *_histogram_constants(n, d, bins))
-    lower, grid_scale, plogp, offsets, first, last, neg_log_bins = work.reading
-    # in Python floats a range or scale past the float range reads inf or 0, without a warning
-    f_lo, f_hi = float(fitness[fitness.argmin()]), float(fitness[fitness.argmax()])
-    f_scale = bins / (f_hi - f_lo) if f_hi != f_lo else 1.0
-
-    block, cells, fitness_cells, idx = work.block, work.cells, work.fitness_cells, work.bins
-    np.subtract(positions, lower, out=cells)
-    cells *= grid_scale
-    if 0.0 < f_scale < math.inf:
-        np.subtract(fitness, f_lo, out=fitness_cells)
-        fitness_cells *= f_scale
-    else:  # bin the fitness over its largest magnitude, whose range and scale fit
-        top = max(abs(f_lo), abs(f_hi))
-        np.divide(fitness, top, out=fitness_cells)
-        fitness_cells -= f_lo / top
-        fitness_cells *= bins / (f_hi / top - f_lo / top)
-    # the unsafe cast truncates toward zero, as astype does; the clamps
-    # put the upper edge in the last cell and keep every index in its own
-    # dimension's bins
-    np.copyto(idx, block, casting="unsafe")
+        constants = _histogram_constants((n // work.size, work.size, d), bins)
+        work.reading = (bounds.rows(n)[0], bounds.grid_scale(n, bins), *constants, work.groups + (d + 1, bins))
+    lower, grid_scale, plogp, offsets, first, last, neg_log_bins, n_cells, counts_shape = work.reading
+    block, idx = work.block, work.bins
+    np.subtract(positions, lower, out=work.cells)
+    work.cells *= grid_scale
+    for rows, out in work.fitness_groups:
+        group = fitness[rows]
+        # in Python floats a range or scale past the float range reads inf or 0, without a warning
+        f_lo, f_hi = float(group[group.argmin()]), float(group[group.argmax()])
+        f_scale = bins / (f_hi - f_lo) if f_hi != f_lo else 1.0
+        if 0.0 < f_scale < math.inf:
+            np.subtract(group, f_lo, out=out)
+            out *= f_scale
+        else:  # bin the fitness over its largest magnitude, whose range and scale fit
+            top = max(abs(f_lo), abs(f_hi))
+            np.divide(group, top, out=out)
+            out -= f_lo / top
+            out *= bins / (f_hi / top - f_lo / top)
+    # assignment casts unsafely, truncating toward zero as astype does; the
+    # clamps put the upper edge in the last cell and keep every index in its
+    # own dimension's bins
+    idx[...] = block
     np.maximum(idx, first, out=idx)
     np.minimum(idx, last, out=idx)
     idx += offsets
-    counts = np.bincount(idx, minlength=(d + 1) * bins).reshape(d + 1, bins)
+    counts = np.bincount(idx, minlength=n_cells).reshape(counts_shape)
     entropy = np.add.reduce(plogp[counts], axis=-1) / neg_log_bins
 
-    per_dim = entropy[:d]
-    e_pos = float(np.add.reduce(per_dim) / d)
-    # a flat fitness range reads exactly 0.0, as in histogram_entropy
-    e_fit = float(entropy[d]) if f_hi != f_lo else 0.0
-    return DiversityReading(e_pos, e_fit, (e_pos + e_fit) / 2.0, per_dim)
+    per_dim = entropy[..., :d]
+    sums, fits = np.add.reduce(per_dim, axis=-1), entropy[..., d]
+    # a flat fitness range reads -0.0 and, with 0.0 added, exactly 0.0, as
+    # in histogram_entropy; any other range reads above 0
+    if not work.groups:
+        e_pos, e_fit = float(sums) / d, float(fits) + 0.0
+        return DiversityReading(e_pos, e_fit, (e_pos + e_fit) / 2.0, per_dim)
+    e_pos, e_fit = [total / d for total in sums.tolist()], [e + 0.0 for e in fits.tolist()]
+    return DiversityReading(e_pos, e_fit, [(p + f) / 2.0 for p, f in zip(e_pos, e_fit)], per_dim)
 
 
 def adap_center_diversity(swarm: Swarm, bounds: Bounds) -> float:

@@ -19,7 +19,7 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class _Run:
     The run's record is made here and nowhere else: :meth:`fresh` and
     :meth:`spawn` offer a swarm's best as it is born, :meth:`log` offers
     each stepped swarm's best and appends the iteration's trace row,
-    :meth:`cover` logs swarms that no iteration logged, and
+    :meth:`cover` logs a swarm that no iteration logged, and
     :meth:`open_phase` notes where a phase starts.  So the last trace row
     holds the run's ``fe_used`` and ``best_error``.
 
@@ -206,10 +206,15 @@ class _Run:
         self.phase_starts: list[tuple[str, int]] = []
 
     def offer(self, swarm: Swarm) -> None:
-        """Take the swarm's global best if it beats the best-ever solution."""
-        if swarm.global_best_fitness < self.best_fitness:
-            self.best_fitness = float(swarm.global_best_fitness)
-            self.best_position = swarm.global_best_position.copy()
+        """Take the swarm's best if it beats the best-ever solution.
+
+        Of k groups the first best one is offered, which is what offering
+        each group in turn would leave.
+        """
+        position, fitness = swarm.best
+        if fitness < self.best_fitness:
+            self.best_fitness = float(fitness)
+            self.best_position = position.copy()
 
     def open_phase(self, phase: str) -> None:
         self.phase_starts.append((phase, self.counter.used))
@@ -232,23 +237,22 @@ class _Run:
         self.offer(swarm)
         return swarm
 
-    def log(self, swarms: Sequence[Swarm], diversity: float, omega: float, er: float) -> None:
-        """Close an iteration: offer each swarm's best, then append its trace row."""
-        for swarm in swarms:
-            self.offer(swarm)
+    def log(self, swarm: Swarm, diversity: float, omega: float, er: float) -> None:
+        """Close an iteration: offer the swarm's best, then append its trace row."""
+        self.offer(swarm)
         best_error = self.best_fitness - self.spec.optimum_value
         phase = self.phase_starts[-1][0]
         self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
 
-    def cover(self, swarms: Sequence[Swarm]) -> None:
-        """Log ``swarms`` unless the last row already covers every evaluation.
+    def cover(self, swarm: Swarm) -> None:
+        """Log ``swarm`` unless the last row already covers every evaluation.
 
-        Where a block ends, this logs the swarms of a block that ran no
-        iteration.  The row holds their mean diversity, with no inertia or
-        evolution rate.
+        Where a block ends, this logs the swarm of a block that ran no
+        iteration.  The row holds its diversity, the mean over its groups,
+        with no inertia or evolution rate.
         """
         if not self.trace or self.trace[-1].fe < self.counter.used:
-            self.log(swarms, _mean([self.diversity(swarm).hybrid for swarm in swarms]), math.nan, math.nan)
+            self.log(swarm, float(np.mean(self.diversity(swarm).hybrid)), math.nan, math.nan)
 
     def result(self) -> RunResult:
         """The run's outcome; each phase span ends where the next one starts."""
@@ -267,8 +271,9 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
 
     Phases unfold as: (exploration, exploitation)+ convergence.  Each
     exploration block initializes independent sub-swarms uniformly at
-    random and steps each of them with its own diversity-driven inertia
-    (no communication between sub-swarms); the best explorer then seeds an
+    random, holds them as the groups of one swarm, and steps each group
+    with its own diversity-driven inertia (no communication between
+    sub-swarms); the best explorer then seeds an
     exploitation swarm whose iterations rebuild the worst particles and
     step a random selection of the rest at constant evaluation cost.  When
     exploitation stalls (windowed evolution rate below the threshold) or
@@ -279,15 +284,15 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
 
     Exploration trace rows log the mean diversity/inertia across
     sub-swarms and have no evolution rate.  A block that runs no
-    iteration logs one row for the swarms it built.
+    iteration logs one row for the swarm it built.
     """
     run = _Run(config, spec, seed)
     while run.counter.remaining >= config.exploration_size:
-        subs = _explore(run)
+        explorers = _explore(run)
         if run.counter.remaining < config.exploitation_size:
             break
         # best particle over all sub-swarms seeds the exploitation swarm
-        _exploit(run, min(subs, key=lambda sub: sub.global_best_fitness))
+        _exploit(run, explorers)
         if run.iteration > run.total_iterations / 3:
             break
     if run.counter.remaining >= config.convergence_size and run.best_position is not None:
@@ -295,29 +300,26 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     return run.result()
 
 
-def _explore(run: _Run) -> list[Swarm]:
-    """One exploration block: fresh independent sub-swarms, stepped in turn."""
+def _explore(run: _Run) -> Swarm:
+    """One exploration block: fresh independent sub-swarms, stepped as the groups of one swarm."""
     config, counter = run.config, run.counter
     iterations = round(config.exploration_ratio * run.total_iterations)
     run.open_phase(EXPLORATION)
-    subs = [run.fresh(config.sub_swarm_size) for _ in range(config.exploration_size // config.sub_swarm_size)]
+    swarm = Swarm.stack([run.fresh(config.sub_swarm_size) for _ in range(config.exploration_size // config.sub_swarm_size)])
     if not run.trace:
-        run.cover(subs)
+        run.cover(swarm)
 
     t = 0
     while t < iterations and counter.remaining >= config.exploration_size:
         t += 1
         run.iteration += 1
-        diversities, omegas = [], []
-        for sub in subs:
-            e = run.diversity(sub).hybrid
-            w = omega_exploration(e)
-            pso_step(sub, run.kinematics(w), run.spec, run.rng, counter)
-            diversities.append(e)
-            omegas.append(w)
-        run.log(subs, _mean(diversities), _mean(omegas), math.nan)
-    run.cover(subs)
-    return subs
+        diversities = run.diversity(swarm).hybrid
+        omegas = [omega_exploration(e) for e in diversities]
+        column = np.array(omegas).repeat(config.sub_swarm_size)[:, None]  # each group's inertia on its rows
+        pso_step(swarm, run.kinematics(column), run.spec, run.rng, counter)
+        run.log(swarm, _mean(diversities), _mean(omegas), math.nan)
+    run.cover(swarm)
+    return swarm
 
 
 def _mean(values: list[float]) -> float:
@@ -331,7 +333,7 @@ def _exploit(run: _Run, seed: Swarm) -> None:
     cap = round(config.exploitation_ratio * run.total_iterations)
     n_replace = round(config.replace_ratio * config.exploitation_size)
     run.open_phase(EXPLOITATION)
-    swarm = run.spawn(seed.global_best_position, seed.global_best_fitness, config.exploitation_size)
+    swarm = run.spawn(*seed.best, config.exploitation_size)
     history = FitnessHistory(window=config.rate_window)
     t = 0
     while t < cap and counter.remaining >= config.exploitation_size:
@@ -345,10 +347,10 @@ def _exploit(run: _Run, seed: Swarm) -> None:
         pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
         history.record(swarm.global_best_fitness)
         er = evolution_rate(history)
-        run.log((swarm,), reading.hybrid, omega, er)
+        run.log(swarm, reading.hybrid, omega, er)
         if er < config.stagnation_threshold:
             break
-    run.cover((swarm,))
+    run.cover(swarm)
 
 
 def _converge(run: _Run) -> None:
@@ -373,8 +375,8 @@ def _converge(run: _Run) -> None:
             stalled = 0
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
-        run.log((swarm,), reading.hybrid, omega, er)
-    run.cover((swarm,))
+        run.log(swarm, reading.hybrid, omega, er)
+    run.cover(swarm)
 
 
 def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
@@ -389,12 +391,12 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     run.open_phase("gpso")
     swarm = run.fresh(size)
     history = FitnessHistory(window=config.rate_window)
-    run.cover((swarm,))
+    run.cover(swarm)
     while counter.remaining >= size:
         run.iteration += 1
         omega = linear_inertia(run.iteration, run.total_iterations)
         reading = run.diversity(swarm)
         pso_step(swarm, run.kinematics(omega), spec, run.rng, counter)
         history.record(swarm.global_best_fitness)
-        run.log((swarm,), reading.hybrid, omega, evolution_rate(history))
+        run.log(swarm, reading.hybrid, omega, evolution_rate(history))
     return run.result()

@@ -44,11 +44,12 @@ SPAWN_SPREAD = 0.1
 class KinematicParams(NamedTuple):
     """Velocity-update coefficients and the per-dimension speed cap.
 
+    ``omega`` is one inertia, or an (n, 1) column of one per row.
     ``speed`` is the velocity box [-vmax, vmax]; as a :class:`Bounds` it
     keeps the row blocks the clip uses from one step to the next.
     """
 
-    omega: float
+    omega: float | np.ndarray
     c1: float
     c2: float
     speed: Bounds
@@ -67,39 +68,48 @@ def pso_step(
     v <- omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with fresh r1
     and r2 for every particle and dimension, velocity clipped to +-vmax,
     position clipped to the bounds, then one re-evaluation per particle.
-    Unselected particles are untouched.  Draw order: one (2, n, D) uniform
-    block, r1 then r2 (the same stream as an r1 block followed by an r2
-    block).  Both attractors come from one subtraction out of the swarm's
-    (pbest, gbest) target block; they, the row blocks of both boxes and
-    the mask of improved particles live in the swarm's
-    :class:`~ampso.core.Workspace`, and a subset step uses their leading
-    rows.
+    Unselected particles are untouched.  In a swarm of k groups, gbest is
+    each particle's group best and ``params.omega`` may be an (n, 1)
+    column, one inertia per row.  Draw order: one (k, 2, s, D) uniform
+    block, r1 then r2 of each group of s rows in turn (the same stream as
+    an r1 block followed by an r2 block, group after group); a subset
+    step of fewer than n rows draws as one group.  Both attractors come
+    from one subtraction out of the swarm's (pbest, gbest) target block,
+    and take their draws in place.  The step binds, in the swarm's
+    :class:`~ampso.core.Workspace`, its attractor block, the row blocks
+    of both boxes and the c1/c2 block once per row count, boxes and
+    coefficients; the mask of improved particles lives there too, and a
+    subset step uses its leading rows.
     """
     work = swarm.work
     if swarm.global_best_position is not work.gbest:
-        work.targets[1] = work.gbest = swarm.global_best_position
+        work.group_targets[...] = work.gbest = swarm.global_best_position
     if subset is None:
         sel = slice(None)  # a slice selects views, so the in-place updates write through
         x, v, targets = swarm.positions, swarm.velocities, work.targets
     else:
         sel = np.asarray(subset, dtype=np.intp)
-        x, v, targets = swarm.positions[sel], swarm.velocities[sel], work.targets[:, sel]
-    n = len(x)
+        x, v, targets = swarm.positions.take(sel, 0), swarm.velocities.take(sel, 0), work.targets.take(sel, 1)
+    n, d = x.shape
     key = (spec.bounds, params.speed, params.c1, params.c2, n)
-    if key != work.step_key:  # bind the leading n rows of the attractors, c1 then c2, and both boxes' row blocks
-        attractors = work.attractors[:, :n]
-        coefficients = np.empty(attractors.shape)
-        coefficients[0], coefficients[1] = params.c1, params.c2
-        work.step_key, work.step = key, (attractors, coefficients, *spec.bounds.rows(n), *params.speed.rows(n))
-    attractors, coefficients, lower, upper, v_lower, v_upper = work.step
+    if key != work.step_key:  # bind the attractor block, c1 then c2, and both boxes' row blocks
+        s = work.size if n == swarm.size else n
+        shape = (n // s, 2, s, d)
+        coefficients = np.stack([np.full((n // s, s, d), params.c1), np.full((n // s, s, d), params.c2)], axis=1)
+        attractors = np.empty((2, n, d))
+        # a (k, 2, s, D) view of the (2, n, D) attractors: group g's r1 and r2 meet its own rows
+        grouped = attractors.reshape(2, n // s, s, d).swapaxes(0, 1)
+        work.step_key = key
+        work.step = (shape, coefficients, attractors, grouped, *attractors, *spec.bounds.rows(n), *params.speed.rows(n))
+    shape, coefficients, attractors, grouped, pull_p, pull_g, lower, upper, v_lower, v_upper = work.step
     counter.require(n)
-    r = rng.uniform(size=attractors.shape)
-    np.subtract(targets, x, out=attractors)
+    r = rng.uniform(size=shape)
     r *= coefficients
-    r *= attractors
+    np.subtract(targets, x, out=attractors)
+    np.multiply(r, grouped, out=grouped)  # c * r * (target - x), in the attractors' own rows
     v *= params.omega
-    v += r[0]
-    v += r[1]
+    v += pull_p
+    v += pull_g
     # np.maximum then np.minimum is np.clip bit for bit, a tie between
     # signed zeros included; ndarray.clip adds a Python wrapper that costs
     # more than the second ufunc call from about 40 rows up (numpy 2.4)
@@ -108,7 +118,7 @@ def pso_step(
     x += v
     np.maximum(x, lower, out=x)
     np.minimum(x, upper, out=x)
-    if subset is not None:  # fancy indexing handed out copies
+    if subset is not None:  # take handed out copies
         swarm.velocities[sel] = v
         swarm.positions[sel] = x
     fitness = evaluate_batch(spec, x, counter)

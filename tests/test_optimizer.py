@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 
@@ -208,6 +209,23 @@ class TestRunAmpso:
             rows = [p for p in result.trace if span.start_fe < p.fe <= span.end_fe]
             for a, b in zip(rows, rows[1:]):
                 assert b.fe - a.fe == config.exploration_size
+
+    def test_exploration_iterations_evaluate_every_sub_swarm_in_one_call(self):
+        # the sub-swarms are born one objective call each; after that every
+        # exploration iteration hands the objective all exploration_size rows
+        config, spec = AmpsoConfig(fe_budget=12_000), make_spec("rastrigin", 4)
+        calls, objective = [], spec.function
+        spec.function = lambda block: calls.append(len(block)) or objective(block)
+        result = run_ampso(config, spec, seed=11)
+        starts = list(itertools.accumulate(calls, initial=0))
+        k = config.exploration_size // config.sub_swarm_size
+        stepped = []
+        for span in result.phase_log:
+            if span.phase == EXPLORATION:
+                rows = [n for fe, n in zip(starts, calls) if span.start_fe <= fe < span.end_fe]
+                assert rows[:k] == [config.sub_swarm_size] * k
+                stepped += rows[k:]
+        assert stepped and set(stepped) == {config.exploration_size}
 
     def test_convergence_starts_after_a_third_of_iterations(self, small_run):
         config, spec, result = small_run

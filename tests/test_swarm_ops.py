@@ -15,6 +15,7 @@ from ampso.core import (
     evaluate_batch,
     initialize_swarm,
 )
+from ampso.adaptation import omega_exploration
 from ampso.benchmarks import REGISTRY, make_spec
 from ampso.diversity import hybrid_diversity
 from ampso.swarm_ops import (
@@ -449,6 +450,77 @@ class TestSwarmWorkspace:
                 pso_step(s, params, spec, RngStream(step), EvalCounter(budget=8), subset)
             assert readings[0] == readings[1]
             assert_same_state(swarm, fresh)
+
+
+def same_bits(a, b) -> bool:
+    """Equal down to the sign of every zero."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestStackedSwarm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        s=st.integers(1, 6),
+        d=st.integers(1, 5),
+        steps=st.integers(1, 20),
+        bins=st.integers(2, 12),
+        flat=st.integers(0, 3),
+        huge=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_groups_equal_separate_swarms_stepped_in_turn(self, k, s, d, steps, bins, flat, huge, seed):
+        # each step: one group's fitness reads flat and another's spans
+        # more than the float range, then every reading, the per-group
+        # inertia and one step of the stacked swarm must equal each separate
+        # swarm's, bit for bit, from the same stream
+        spec = make_spec("rastrigin", d)
+        vmax = 0.1 * spec.bounds.span
+        start = RngStream(seed)
+        subs = [initialize_swarm(spec, s, start, vmax, EvalCounter(budget=s)) for _ in range(k)]
+        stacked = Swarm.stack(copy.deepcopy(subs))
+        rngs, counters = (RngStream(seed + 1), RngStream(seed + 1)), (EvalCounter(k * s * steps), EvalCounter(k * s * steps))
+        speed = Bounds(-vmax, vmax)
+        wide = np.resize([-1.5e308, 1.5e308], s)
+        for _ in range(steps):
+            for fitness, g in ((np.full(s, 7.0), flat % k), (wide, huge % k)):
+                subs[g].current_fitness[:] = stacked.current_fitness[g * s : (g + 1) * s] = fitness
+            readings = [hybrid_diversity(sub, spec.bounds, bins) for sub in subs]
+            grouped = hybrid_diversity(stacked, spec.bounds, bins)
+            for g, reading in enumerate(readings):
+                for field in ("position_entropy", "fitness_entropy", "hybrid"):
+                    assert same_bits(getattr(grouped, field)[g], getattr(reading, field)), field
+                assert same_bits(grouped.per_dimension[g], reading.per_dimension)
+            assert same_bits(readings[flat % k].fitness_entropy, 0.0) or (s > 1 and flat % k == huge % k)
+            omegas = [omega_exploration(reading.hybrid) for reading in readings]
+            for sub, omega in zip(subs, omegas):
+                pso_step(sub, KinematicParams(omega, 1.49445, 1.49445, speed), spec, rngs[0], counters[0])
+            column = np.repeat(omegas, s)[:, None]
+            pso_step(stacked, KinematicParams(column, 1.49445, 1.49445, speed), spec, rngs[1], counters[1])
+            for g, sub in enumerate(subs):
+                for name in ("positions", "velocities", "best_positions", "best_fitness", "current_fitness"):
+                    assert same_bits(getattr(stacked, name)[g * s : (g + 1) * s], getattr(sub, name)), name
+                assert same_bits(stacked.global_best_position[g, 0], sub.global_best_position)
+                assert same_bits(stacked.global_best_fitness[g], sub.global_best_fitness)
+        best = min(range(k), key=lambda g: subs[g].global_best_fitness)
+        assert same_bits(stacked.best[0], subs[best].global_best_position)
+        assert stacked.best[1] == subs[best].global_best_fitness
+        assert counters[0].used == counters[1].used
+        assert same_bits(rngs[0].uniform(size=5), rngs[1].uniform(size=5))
+
+    def test_a_group_best_draws_only_its_own_group(self):
+        # particles at rest on their personal bests; group 0's best is its
+        # lower particle, group 1's its upper one, so the two other particles
+        # are drawn in opposite directions
+        spec = sphere_spec(1)
+        subs = [build_swarm([[-50.0], [-49.0]], [0.0, 1.0]), build_swarm([[50.0], [51.0]], [1.0, 0.0])]
+        stacked = Swarm.stack(subs)
+        assert stacked.global_best_fitness == [0.0, 0.0]
+        assert same_bits(stacked.global_best_position, [[[-50.0]], [[51.0]]])
+        assert same_bits(stacked.best[0], [-50.0])  # a tie goes to the first group, as offering each in turn would
+        pso_step(stacked, params_for(spec, omega=0.0), spec, StubRng(0.5), EvalCounter(budget=4))
+        assert stacked.velocities[1, 0] < 0 < stacked.velocities[2, 0]
+        assert stacked.velocities[0, 0] == stacked.velocities[3, 0] == 0.0
 
 
 class TestPsoStepPaths:
