@@ -120,7 +120,7 @@ def _repeat_rows(vector: np.ndarray, n: int) -> np.ndarray:
 
 
 class Workspace:
-    """Work arrays of one swarm, and the box operands bound to them.
+    """The layout of one swarm, and the operands its operators bind to it.
 
     The swarm's constructor builds it, so two swarms never share one.
     ``groups`` is the shape of the swarm's ``global_best_fitness``: () for
@@ -128,16 +128,11 @@ class Workspace:
     ``starts``.  ``targets`` is the (2, n, D) block of attractor targets:
     its first half *is* the swarm's ``best_positions``, and its second
     half (``group_targets`` views it as k groups) holds ``gbest``, the
-    group bests last copied, on every row of each group.  The rest is
-    scratch that holds whatever its last user left there: the
-    ``improved`` row mask with its (n, 1) view ``improved_rows``; and the
-    diversity reading's flat ``block``, with its (n, D) view ``cells``,
-    ``fitness_groups`` pairing each group's rows with its view of the n
-    values after them, and its bin indices ``bins``.
-    :func:`~ampso.swarm_ops.pso_step` binds its operands in ``step`` and
-    :func:`~ampso.diversity.hybrid_diversity` its own in ``reading``, on
-    the first call that meets a given box; after that each checks its key
-    by identity only.
+    group bests last copied, on every row of each group.  Each operator
+    owns its scratch: :func:`~ampso.swarm_ops.pso_step` binds its operands
+    and scratch in ``step`` and :func:`~ampso.diversity.hybrid_diversity`
+    its own in ``reading``, on the first call that meets a given box;
+    after that each checks its key by identity only.
     """
 
     def __init__(self, swarm: "Swarm"):
@@ -148,12 +143,6 @@ class Workspace:
         self.targets = np.empty((2, n, d))
         self.targets[0] = swarm.best_positions
         self.group_targets = self.targets[1].reshape(n // s, s, d)
-        self.improved = np.empty(n, bool)
-        self.improved_rows = self.improved[:, None]
-        self.block = np.empty(n * (d + 1))
-        self.cells = self.block[: n * d].reshape(n, d)
-        self.fitness_groups = [(slice(i, i + s), self.block[n * d + i : n * d + i + s]) for i in self.starts]
-        self.bins = np.empty(self.block.shape, np.intp)
         self.gbest = self.step_key = self.reading_key = None
 
 

@@ -14,7 +14,6 @@ All entropies use base-Q logarithms so their range is exactly [0, 1].
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -80,28 +79,33 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
     return float(-terms.sum() / np.log(bins))
 
 
-@lru_cache(maxsize=64)
-def _histogram_constants(shape: tuple[int, int, int], bins: int) -> tuple:
-    """Read-only constants of :func:`hybrid_diversity` for k groups of s rows in D dimensions.
+def _bind(swarm: Swarm, bounds: Bounds, bins: int) -> tuple:
+    """The operands and scratch :func:`hybrid_diversity` binds for ``swarm`` over ``bounds`` in ``bins`` cells.
 
-    Returns the table of p log p indexed by occupancy count 0..s (the
-    exact terms :func:`histogram_entropy` computes), the flat bincount
-    offset of every value of an (n, D) position block followed by n
-    fitness values (each group's D + 1 histograms after the previous
-    group's), the first and last bin index repeated over that flat block
-    (a same-shape operand costs less than a scalar), -log(bins): dividing
-    by it negates exactly, signed zeros included, so the entropy takes one
-    operation fewer, and the number of cells.
+    Returns the box's lower-bound and grid-scale row blocks; the flat
+    block of the (n, D) positions followed by the n fitness values, its
+    (n, D) view of the positions, each group's rows paired with its view
+    of the fitness values, and the block's bin indices; the table of
+    p log p indexed by occupancy count 0..s (the exact terms
+    :func:`histogram_entropy` computes), the flat bincount offset of every
+    value of the block (each group's D + 1 histograms after the previous
+    group's), the first and last bin index repeated over the block (a
+    same-shape operand costs less than a scalar), -log(bins): dividing by
+    it negates exactly, signed zeros included, so the entropy takes one
+    operation fewer, the number of cells and the shape of the counts.
     """
-    k, s, d = shape
+    work, (n, d) = swarm.work, swarm.positions.shape
+    k, s = n // work.size, work.size
+    block = np.empty(n * (d + 1))
+    fitness_groups = [(slice(i, i + s), block[n * d + i : n * d + i + s]) for i in work.starts]
     p = np.arange(s + 1) / s
     plogp = p * np.log(np.where(p > 0, p, 1.0))
     group = np.repeat(np.arange(k) * (d + 1) * bins, s)
     offsets = np.concatenate([(group[:, None] + np.arange(d) * bins).ravel(), group + d * bins])
     first, last = np.zeros_like(offsets), np.full_like(offsets, bins - 1)
-    for table in (plogp, offsets, first, last):
-        table.setflags(write=False)
-    return plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins
+    scratch = block, block[: n * d].reshape(n, d), fitness_groups, np.empty(block.shape, np.intp)
+    constants = plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins, work.groups + (d + 1, bins)
+    return bounds.rows(n)[0], bounds.grid_scale(n, bins), *scratch, *constants
 
 
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:
@@ -118,8 +122,9 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     range past the float range takes the same detour as in
     :func:`histogram_entropy`.  A position outside the box, which no
     operator leaves, counts in an edge cell of its own dimension.  The
-    flat block, its bin indices and the operands bound from the box live
-    in the swarm's :class:`~ampso.core.Workspace`.
+    reading owns its flat block and bin indices: it binds them, with the
+    operands it builds from the box, in the swarm's
+    :class:`~ampso.core.Workspace` once per box and bin count.
 
     A swarm of k groups is read as k swarms, in the same ``bincount``:
     each group's fitness over its own [min, max], the detour taken per
@@ -135,14 +140,11 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     work = swarm.work
     key = (bounds, bins)
     if key != work.reading_key:
-        work.reading_key = key
-        constants = _histogram_constants((n // work.size, work.size, d), bins)
-        work.reading = (bounds.rows(n)[0], bounds.grid_scale(n, bins), *constants, work.groups + (d + 1, bins))
-    lower, grid_scale, plogp, offsets, first, last, neg_log_bins, n_cells, counts_shape = work.reading
-    block, idx = work.block, work.bins
-    np.subtract(positions, lower, out=work.cells)
-    work.cells *= grid_scale
-    for rows, out in work.fitness_groups:
+        work.reading_key, work.reading = key, _bind(swarm, bounds, bins)
+    lower, grid_scale, block, cells, groups, idx, plogp, offsets, first, last, neg_log_bins, n_cells, shape = work.reading
+    np.subtract(positions, lower, out=cells)
+    cells *= grid_scale
+    for rows, out in groups:
         group = fitness[rows]
         # in Python floats a range or scale past the float range reads inf or 0, without a warning
         f_lo, f_hi = float(group[group.argmin()]), float(group[group.argmax()])
@@ -162,7 +164,7 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     np.maximum(idx, first, out=idx)
     np.minimum(idx, last, out=idx)
     idx += offsets
-    counts = np.bincount(idx, minlength=n_cells).reshape(counts_shape)
+    counts = np.bincount(idx, minlength=n_cells).reshape(shape)
     entropy = np.add.reduce(plogp[counts], axis=-1) / neg_log_bins
 
     per_dim = entropy[..., :d]

@@ -86,7 +86,8 @@ class CampaignSpec:
         """Reject a bad grid before any run: config, counts, seeds, names, dimensions.
 
         Each grid axis needs at least one entry and may list none twice.
-        Counts, seeds and dimensions must be integers, not bools.
+        Counts, seeds and dimensions must be integers, not bools.  The
+        budget must cover the first swarm in every dimension.
         """
         self.config.validate()
         counts = [("runs", self.runs), ("jobs", self.jobs), ("base_seed", self.base_seed)]
@@ -117,6 +118,7 @@ class CampaignSpec:
             for entry in entries:
                 if entries.count(entry) > 1:
                     raise ValueError(f"{axis} lists {entry!r} more than once")
+        self.config.resolved_budget(min(self.dimensions))  # the smallest dimension has the smallest budget
 
     def cells(self):
         return product(self.algorithms, self.functions, self.dimensions)

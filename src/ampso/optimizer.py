@@ -15,7 +15,6 @@ swarm under the same budget, trace and result contract.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -62,8 +61,9 @@ class ConfigError(ValueError):
 class AmpsoConfig:
     """All tunables of a run.  Field names double as config-file keys.
 
-    ``fe_budget`` left as None resolves to 10000 x dimension; a set budget
-    must cover the first swarm of either algorithm.  The iteration budget
+    ``fe_budget`` left as None resolves to 10000 x dimension; either way
+    the budget must cover the first swarm of either algorithm
+    (:meth:`resolved_budget`).  The iteration budget
     is ``fe_budget // convergence_size``; each exploration block runs
     ``exploration_ratio`` of it, exploitation blocks are capped at
     ``exploitation_ratio`` of it, and every exploitation iteration
@@ -114,16 +114,18 @@ class AmpsoConfig:
             raise ConfigError("vmax_factor must be positive")
         if self.stagnation_threshold < 0:
             raise ConfigError("stagnation_threshold must be non-negative")
-        first_swarm = max(self.exploration_size, self.convergence_size)
-        if self.fe_budget is not None and self.fe_budget < first_swarm:
-            raise ConfigError(
-                f"fe_budget must cover the first swarm: at least {first_swarm} evaluations"
-            )
+        if self.fe_budget is not None:
+            self.resolved_budget(1)  # a set budget is the same in every dimension
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     def resolved_budget(self, dimension: int) -> int:
-        return self.fe_budget if self.fe_budget is not None else 10000 * dimension
+        """The run's evaluation budget in ``dimension``, which must cover the first swarm."""
+        budget = self.fe_budget if self.fe_budget is not None else 10000 * dimension
+        first_swarm = max(self.exploration_size, self.convergence_size)
+        if budget < first_swarm:
+            raise ConfigError(f"fe_budget must cover the first swarm: at least {first_swarm} evaluations, got {budget}")
+        return budget
 
     def with_overrides(self, **overrides) -> "AmpsoConfig":
         unknown = set(overrides) - {f.name for f in fields(self)}
@@ -170,12 +172,15 @@ class _Run:
     """What every swarm of one run shares: budget, randomness, velocity
     cap, best-ever solution, trace and phase log.
 
-    The run's record is made here and nowhere else: :meth:`fresh` and
-    :meth:`spawn` offer a swarm's best as it is born, :meth:`log` offers
-    each stepped swarm's best and appends the iteration's trace row,
-    :meth:`cover` logs a swarm that no iteration logged, and
-    :meth:`open_phase` notes where a phase starts.  So the last trace row
-    holds the run's ``fe_used`` and ``best_error``.
+    The run's record is made here and nowhere else: :meth:`log` takes a
+    swarm's best if it beats the best-ever solution and appends the
+    iteration's trace row, :meth:`cover` logs a swarm that no iteration
+    logged, and :meth:`open_phase` notes where a phase starts.  Every
+    swarm a phase builds is logged before anything reads the best-ever
+    solution: it has spent evaluations, so a step or :meth:`cover` logs
+    it.  So the last trace row holds the run's ``fe_used`` and
+    ``best_error``.  The run owns no scratch: each swarm's operators bind
+    their own in its :class:`~ampso.core.Workspace`.
 
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
@@ -190,9 +195,8 @@ class _Run:
             config = config.with_overrides(seed=seed)
         config.validate()
         self.config = config
-        self.spec = copy.copy(spec)
-        self.spec.bounds = Bounds(spec.bounds.lower, spec.bounds.upper)
-        self.spec.__post_init__()  # its fields may have been reassigned since it was checked
+        # built through the constructor, so fields reassigned since the spec was checked are checked again
+        self.spec = replace(spec, bounds=Bounds(spec.bounds.lower, spec.bounds.upper))
         self.rng = RngStream(config.seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
         self.total_iterations = self.counter.budget // config.convergence_size
@@ -205,17 +209,6 @@ class _Run:
         self.trace: list[TracePoint] = []
         self.phase_starts: list[tuple[str, int]] = []
 
-    def offer(self, swarm: Swarm) -> None:
-        """Take the swarm's best if it beats the best-ever solution.
-
-        Of k groups the first best one is offered, which is what offering
-        each group in turn would leave.
-        """
-        position, fitness = swarm.best
-        if fitness < self.best_fitness:
-            self.best_fitness = float(fitness)
-            self.best_position = position.copy()
-
     def open_phase(self, phase: str) -> None:
         self.phase_starts.append((phase, self.counter.used))
 
@@ -225,21 +218,16 @@ class _Run:
     def diversity(self, swarm: Swarm) -> DiversityReading:
         return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
 
-    def fresh(self, size: int) -> Swarm:
-        """A uniform-random swarm over the box, offered as it is born."""
-        swarm = initialize_swarm(self.spec, size, self.rng, self.speed.upper, self.counter)
-        self.offer(swarm)
-        return swarm
-
-    def spawn(self, position: np.ndarray, fitness: float, size: int) -> Swarm:
-        """A swarm spawned around a known-good solution, offered as it is born."""
-        swarm = spawn_artificial_swarm(position, fitness, size, self.spec, self.rng, self.counter, self.speed.upper)
-        self.offer(swarm)
-        return swarm
-
     def log(self, swarm: Swarm, diversity: float, omega: float, er: float) -> None:
-        """Close an iteration: offer the swarm's best, then append its trace row."""
-        self.offer(swarm)
+        """Close an iteration: take the swarm's best if it beats the best-ever, then append its trace row.
+
+        Of k groups the first best one is taken, which is what offering
+        each group in turn would leave.
+        """
+        position, fitness = swarm.best
+        if fitness < self.best_fitness:
+            self.best_fitness = float(fitness)
+            self.best_position = position.copy()
         best_error = self.best_fitness - self.spec.optimum_value
         phase = self.phase_starts[-1][0]
         self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
@@ -295,7 +283,7 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
         _exploit(run, explorers)
         if run.iteration > run.total_iterations / 3:
             break
-    if run.counter.remaining >= config.convergence_size and run.best_position is not None:
+    if run.counter.remaining >= config.convergence_size:
         _converge(run)
     return run.result()
 
@@ -305,7 +293,8 @@ def _explore(run: _Run) -> Swarm:
     config, counter = run.config, run.counter
     iterations = round(config.exploration_ratio * run.total_iterations)
     run.open_phase(EXPLORATION)
-    swarm = Swarm.stack([run.fresh(config.sub_swarm_size) for _ in range(config.exploration_size // config.sub_swarm_size)])
+    k, size = config.exploration_size // config.sub_swarm_size, config.sub_swarm_size
+    swarm = Swarm.stack([initialize_swarm(run.spec, size, run.rng, run.speed.upper, counter) for _ in range(k)])
     if not run.trace:
         run.cover(swarm)
 
@@ -333,7 +322,7 @@ def _exploit(run: _Run, seed: Swarm) -> None:
     cap = round(config.exploitation_ratio * run.total_iterations)
     n_replace = round(config.replace_ratio * config.exploitation_size)
     run.open_phase(EXPLOITATION)
-    swarm = run.spawn(*seed.best, config.exploitation_size)
+    swarm = spawn_artificial_swarm(*seed.best, config.exploitation_size, run.spec, run.rng, counter, run.speed.upper)
     history = FitnessHistory(window=config.rate_window)
     t = 0
     while t < cap and counter.remaining >= config.exploitation_size:
@@ -357,7 +346,9 @@ def _converge(run: _Run) -> None:
     """The terminal phase: refine the best-ever solution until the budget runs out."""
     config, counter = run.config, run.counter
     run.open_phase(CONVERGENCE)
-    swarm = run.spawn(run.best_position, run.best_fitness, config.convergence_size)
+    swarm = spawn_artificial_swarm(
+        run.best_position, run.best_fitness, config.convergence_size, run.spec, run.rng, counter, run.speed.upper
+    )
     history = FitnessHistory(window=config.rate_window)
     stalled = 0  # stalled iterations since the last full reconstruction
     while counter.remaining >= config.convergence_size:
@@ -389,7 +380,7 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     run = _Run(config, spec, seed)
     spec, counter, size = run.spec, run.counter, config.convergence_size
     run.open_phase("gpso")
-    swarm = run.fresh(size)
+    swarm = initialize_swarm(spec, size, run.rng, run.speed.upper, counter)
     history = FitnessHistory(window=config.rate_window)
     run.cover(swarm)
     while counter.remaining >= size:

@@ -77,9 +77,8 @@ def pso_step(
     from one subtraction out of the swarm's (pbest, gbest) target block,
     and take their draws in place.  The step binds, in the swarm's
     :class:`~ampso.core.Workspace`, its attractor block, the row blocks
-    of both boxes and the c1/c2 block once per row count, boxes and
-    coefficients; the mask of improved particles lives there too, and a
-    subset step uses its leading rows.
+    of both boxes, the c1/c2 block and its mask of improved particles
+    once per row count, boxes and coefficients.
     """
     work = swarm.work
     if swarm.global_best_position is not work.gbest:
@@ -92,16 +91,18 @@ def pso_step(
         x, v, targets = swarm.positions.take(sel, 0), swarm.velocities.take(sel, 0), work.targets.take(sel, 1)
     n, d = x.shape
     key = (spec.bounds, params.speed, params.c1, params.c2, n)
-    if key != work.step_key:  # bind the attractor block, c1 then c2, and both boxes' row blocks
+    if key != work.step_key:  # bind the attractor block, c1 then c2, both boxes' row blocks and the mask
         s = work.size if n == swarm.size else n
         shape = (n // s, 2, s, d)
         coefficients = np.stack([np.full((n // s, s, d), params.c1), np.full((n // s, s, d), params.c2)], axis=1)
         attractors = np.empty((2, n, d))
         # a (k, 2, s, D) view of the (2, n, D) attractors: group g's r1 and r2 meet its own rows
         grouped = attractors.reshape(2, n // s, s, d).swapaxes(0, 1)
+        rows = (*spec.bounds.rows(n), *params.speed.rows(n))
+        improved = np.empty(swarm.size, bool)
         work.step_key = key
-        work.step = (shape, coefficients, attractors, grouped, *attractors, *spec.bounds.rows(n), *params.speed.rows(n))
-    shape, coefficients, attractors, grouped, pull_p, pull_g, lower, upper, v_lower, v_upper = work.step
+        work.step = (shape, coefficients, attractors, grouped, *attractors, *rows, improved, improved[:, None])
+    shape, coefficients, attractors, grouped, pull_p, pull_g, lower, upper, v_lower, v_upper, improved, improved_rows = work.step
     counter.require(n)
     r = rng.uniform(size=shape)
     r *= coefficients
@@ -126,12 +127,12 @@ def pso_step(
     # mask holds only selected rows, so no other row is written
     swarm.current_fitness[sel] = fitness
     if subset is None:
-        np.less(fitness, swarm.best_fitness, out=work.improved)
+        np.less(fitness, swarm.best_fitness, out=improved)
     else:
-        work.improved.fill(False)
-        work.improved[sel] = fitness < swarm.best_fitness[sel]
-    np.copyto(swarm.best_fitness, swarm.current_fitness, where=work.improved)
-    np.copyto(swarm.best_positions, swarm.positions, where=work.improved_rows)
+        improved.fill(False)
+        improved[sel] = fitness < swarm.best_fitness[sel]
+    np.copyto(swarm.best_fitness, swarm.current_fitness, where=improved)
+    np.copyto(swarm.best_positions, swarm.positions, where=improved_rows)
     swarm.refresh_global_best()
 
 

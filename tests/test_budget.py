@@ -98,3 +98,28 @@ def test_runs_spend_the_budget_and_never_lose_the_best(config, run, function, d,
     assert errors
     assert all(math.isfinite(e) and e >= 0.0 for e in errors)
     assert all(b <= a for a, b in zip(errors, errors[1:]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    config=configs(),
+    run=st.sampled_from([run_ampso, run_gpso]),
+    function=st.sampled_from(["sphere", "rastrigin"]),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_runs_never_lose_an_evaluated_point(config, run, function, d, seed):
+    # every value the objective returns reaches the result: no swarm's best
+    # is dropped, whichever phase built the swarm and whether or not it stepped
+    spec = make_spec(function, d)
+    objective, values = spec.function, []
+
+    def spy(x):
+        fitness = objective(x)
+        values.extend(np.asarray(fitness, dtype=float).tolist())
+        return fitness
+
+    spec.function = spy
+    result = run(config, spec, seed=seed)
+    assert len(values) == result.fe_used
+    assert result.best_error == min(values) - spec.optimum_value == result.trace[-1].best_error

@@ -75,6 +75,17 @@ class TestRunCommand:
         assert code == 2
         assert "fe_budget" in err and not out
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("algo, size", [("ampso", "EXPLORATION_SIZE"), ("gpso", "CONVERGENCE_SIZE")])
+    def test_default_budget_below_first_swarm_exits_2(self, tmp_path, capsys, monkeypatch, command, algo, size):
+        # no --fe-budget: the budget resolves to 10000 x dim, below a first swarm of 20000
+        monkeypatch.setenv("AMPSO_" + size, "20000")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli([command, "--algo", algo, "--dim", "1", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "fe_budget" in err and "got 10000" in err
+        assert not out and not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algo", ["ampso", "gpso"])
     def test_infinite_objective_exits_1(self, capsys, monkeypatch, algo):

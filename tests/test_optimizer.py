@@ -101,9 +101,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("run, budget", [(run_ampso, 5), (run_gpso, 25)])
     def test_budget_below_first_swarm_rejected(self, run, budget):
-        spec = make_spec("sphere", 3)
+        calls = []
+        spec = sphere_with(3, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
         with pytest.raises(ConfigError, match="fe_budget"):
             run(AmpsoConfig(fe_budget=budget), spec, seed=0)
+        # an unset budget resolves to 10000 x D, here below the first swarm
+        first_swarm = "exploration_size" if run is run_ampso else "convergence_size"
+        unset = AmpsoConfig(**{first_swarm: 40_000})
+        unset.validate()
+        with pytest.raises(ConfigError, match="fe_budget .* got 30000"):
+            run(unset, spec, seed=0)
+        assert not calls
         floor = max(AmpsoConfig().exploration_size, AmpsoConfig().convergence_size)
         with pytest.raises(ConfigError, match="fe_budget"):
             AmpsoConfig(fe_budget=floor - 1).validate()
