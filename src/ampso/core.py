@@ -130,7 +130,8 @@ class Workspace:
     half (``group_targets`` views it as k groups) holds ``gbest``, the
     group bests last copied, on every row of each group.  Each operator
     owns its scratch: :func:`~ampso.swarm_ops.pso_step` binds its operands
-    and scratch in ``step`` and :func:`~ampso.diversity.hybrid_diversity`
+    and scratch in ``step``, :func:`~ampso.swarm_ops.partial_reconstruct`
+    its own in ``rebuild`` and :func:`~ampso.diversity.hybrid_diversity`
     its own in ``reading``, on the first call that meets a given box;
     after that each checks its key by identity only.
     """
@@ -143,7 +144,7 @@ class Workspace:
         self.targets = np.empty((2, n, d))
         self.targets[0] = swarm.best_positions
         self.group_targets = self.targets[1].reshape(n // s, s, d)
-        self.gbest = self.step_key = self.reading_key = None
+        self.gbest = self.step_key = self.rebuild_key = self.reading_key = None
 
 
 @dataclass

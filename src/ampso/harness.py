@@ -87,7 +87,7 @@ class CampaignSpec:
 
         Each grid axis needs at least one entry and may list none twice.
         Counts, seeds and dimensions must be integers, not bools.  The
-        budget must cover the first swarm in every dimension.
+        budget must cover each algorithm's first swarm in every dimension.
         """
         self.config.validate()
         counts = [("runs", self.runs), ("jobs", self.jobs), ("base_seed", self.base_seed)]
@@ -118,7 +118,8 @@ class CampaignSpec:
             for entry in entries:
                 if entries.count(entry) > 1:
                     raise ValueError(f"{axis} lists {entry!r} more than once")
-        self.config.resolved_budget(min(self.dimensions))  # the smallest dimension has the smallest budget
+        for algorithm in self.algorithms:  # the smallest dimension has the smallest budget
+            self.config.resolved_budget(min(self.dimensions), algorithm)
 
     def cells(self):
         return product(self.algorithms, self.functions, self.dimensions)

@@ -62,8 +62,9 @@ class AmpsoConfig:
     """All tunables of a run.  Field names double as config-file keys.
 
     ``fe_budget`` left as None resolves to 10000 x dimension; either way
-    the budget must cover the first swarm of either algorithm
-    (:meth:`resolved_budget`).  The iteration budget
+    the budget must cover the run's first swarm (:meth:`resolved_budget`).
+    :meth:`validate` knows no algorithm, so it holds a set budget to the
+    smaller rule, and each run to its own.  The iteration budget
     is ``fe_budget // convergence_size``; each exploration block runs
     ``exploration_ratio`` of it, exploitation blocks are capped at
     ``exploitation_ratio`` of it, and every exploitation iteration
@@ -119,10 +120,17 @@ class AmpsoConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
-    def resolved_budget(self, dimension: int) -> int:
-        """The run's evaluation budget in ``dimension``, which must cover the first swarm."""
+    def resolved_budget(self, dimension: int, algorithm: str | None = None) -> int:
+        """The evaluation budget in ``dimension``, which must cover ``algorithm``'s first swarm.
+
+        "gpso" builds only its ``convergence_size`` swarm; "ampso" needs
+        the larger of ``exploration_size`` and ``convergence_size``.  With
+        no algorithm, the smaller of the two rules holds, which is gpso's.
+        """
         budget = self.fe_budget if self.fe_budget is not None else 10000 * dimension
-        first_swarm = max(self.exploration_size, self.convergence_size)
+        first_swarm = self.convergence_size
+        if algorithm == "ampso":
+            first_swarm = max(self.exploration_size, first_swarm)
         if budget < first_swarm:
             raise ConfigError(f"fe_budget must cover the first swarm: at least {first_swarm} evaluations, got {budget}")
         return budget
@@ -190,7 +198,7 @@ class _Run:
     from them (:meth:`Bounds.rows`), and those die with the run.
     """
 
-    def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None):
+    def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None, algorithm: str):
         if seed is not None:
             config = config.with_overrides(seed=seed)
         config.validate()
@@ -198,7 +206,7 @@ class _Run:
         # built through the constructor, so fields reassigned since the spec was checked are checked again
         self.spec = replace(spec, bounds=Bounds(spec.bounds.lower, spec.bounds.upper))
         self.rng = RngStream(config.seed)
-        self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension))
+        self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension, algorithm))
         self.total_iterations = self.counter.budget // config.convergence_size
         self.spec.bounds.grid_scale(1, config.entropy_bins)  # a box too narrow for the grid fails here, unspent
         vmax = config.vmax_factor * spec.bounds.span
@@ -274,7 +282,7 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     sub-swarms and have no evolution rate.  A block that runs no
     iteration logs one row for the swarm it built.
     """
-    run = _Run(config, spec, seed)
+    run = _Run(config, spec, seed, "ampso")
     while run.counter.remaining >= config.exploration_size:
         explorers = _explore(run)
         if run.counter.remaining < config.exploitation_size:
@@ -351,6 +359,9 @@ def _converge(run: _Run) -> None:
     )
     history = FitnessHistory(window=config.rate_window)
     stalled = 0  # stalled iterations since the last full reconstruction
+    # reconstruct_probability is pure in the stall count, which grows by at
+    # most one an iteration: each count's probability is computed once
+    probabilities: list[float] = []
     while counter.remaining >= config.convergence_size:
         run.iteration += 1
         reading = run.diversity(swarm)
@@ -360,8 +371,9 @@ def _converge(run: _Run) -> None:
         er = evolution_rate(history)
         if er < config.stagnation_threshold:
             stalled += 1
-        p_rebuild = reconstruct_probability(run.total_iterations, stalled)
-        if run.rng.uniform() < p_rebuild:
+        if stalled == len(probabilities):
+            probabilities.append(reconstruct_probability(run.total_iterations, stalled))
+        if run.rng.uniform() < probabilities[stalled]:
             full_reconstruct(swarm, sigma, run.spec, run.rng, counter)
             stalled = 0
         else:
@@ -377,7 +389,7 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     handling, budget law and trace contract as the multi-swarm run; the
     diversity column is diagnostic only.
     """
-    run = _Run(config, spec, seed)
+    run = _Run(config, spec, seed, "gpso")
     spec, counter, size = run.spec, run.counter, config.convergence_size
     run.open_phase("gpso")
     swarm = initialize_swarm(spec, size, run.rng, run.speed.upper, counter)

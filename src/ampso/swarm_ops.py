@@ -164,19 +164,25 @@ def spawn_artificial_swarm(
 
 def _cloud(center: np.ndarray, sigma: float, n: int, spec: ObjectiveSpec, rng: RngStream) -> np.ndarray:
     """``n`` points at center + span * g, g ~ N(0, sigma^2) per dimension, clipped to the box."""
+    lower, upper = spec.bounds.rows(n)
     positions = rng.normal(0.0, sigma, size=(n, spec.dimension))
     positions *= spec.bounds.span
     positions += center
-    positions.clip(*spec.bounds.rows(n), out=positions)
+    np.maximum(positions, lower, out=positions)  # np.clip bit for bit, as in pso_step
+    np.minimum(positions, upper, out=positions)
     return positions
 
 
-def _install(swarm: Swarm, sel, positions: np.ndarray, spec: ObjectiveSpec, counter: EvalCounter) -> None:
-    """Evaluate rebuilt particles and put them at rows ``sel``: at rest, personal best = new point."""
+def _install(swarm: Swarm, sel, positions: np.ndarray, spec: ObjectiveSpec, counter: EvalCounter, at_rest=0.0) -> None:
+    """Evaluate rebuilt particles and put them at rows ``sel``: at rest, personal best = new point.
+
+    ``at_rest`` is what the rebuilt velocities become: 0.0, or a zero block
+    of the rows' shape, which a row index assigns for less than a scalar.
+    """
     fitness = evaluate_batch(spec, positions, counter)
     swarm.positions[sel] = swarm.best_positions[sel] = positions
     swarm.current_fitness[sel] = swarm.best_fitness[sel] = fitness
-    swarm.velocities[sel] = 0.0
+    swarm.velocities[sel] = at_rest
     swarm.refresh_global_best()
 
 
@@ -201,7 +207,10 @@ def partial_reconstruct(
     clipped to the box.  Rebuilt particles get velocity 0 and their
     personal best reset to the new point (a stale best would drag them
     straight back).  Costs ``n_worst`` evaluations.  Draw order: dimension
-    picks, then Gaussian offsets.
+    picks, then Gaussian offsets.  The operator binds, in the swarm's
+    :class:`~ampso.core.Workspace`, the flat start of each rebuilt row, the
+    box's row blocks and a zero velocity block once per box and
+    ``n_worst``.
     """
     if n_worst > swarm.size:
         raise ValueError("cannot reconstruct more particles than the swarm holds")
@@ -214,11 +223,21 @@ def partial_reconstruct(
     counter.require(n_worst)
     dims = rng.integers(swarm.dimension, size=n_worst)
     r = rng.normal(0.0, sigma, size=n_worst)
-    positions = np.empty((n_worst, swarm.dimension))
-    positions[:] = swarm.global_best_position
-    positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
-    positions.clip(*spec.bounds.rows(n_worst), out=positions)
-    _install(swarm, idx, positions, spec, counter)
+    work, bounds, best, d = swarm.work, spec.bounds, swarm.global_best_position, swarm.dimension
+    key = (bounds, n_worst)
+    if key != work.rebuild_key:  # bind the flat row starts, the box's row blocks and the rebuilt velocities
+        at_rest = np.zeros((n_worst, d))
+        at_rest.setflags(write=False)
+        work.rebuild_key = key
+        work.rebuild = (np.arange(n_worst) * d, *bounds.rows(n_worst), at_rest)
+    starts, lower, upper, at_rest = work.rebuild
+    positions = np.empty((n_worst, d))
+    positions[:] = best
+    # each row's moved coordinate becomes best + span * r there, the same sum a fancy += makes
+    positions.put(starts + dims, best[dims] + bounds.span[dims] * r)
+    np.maximum(positions, lower, out=positions)
+    np.minimum(positions, upper, out=positions)
+    _install(swarm, idx, positions, spec, counter, at_rest)
 
 
 def full_reconstruct(

@@ -1,0 +1,109 @@
+"""The verdicts of ``tools/bench_pairs.py``, which writes each ``BENCH_*.json``.
+
+The tool is imported, never modified or run against the repository here:
+its verdict and summary are checked on synthetic pairs, and a run too short
+to give a spread is refused before anything is copied or run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    sys.path.insert(0, str(TOOLS))
+    try:
+        return importlib.import_module("bench_pairs")
+    finally:
+        sys.path.remove(str(TOOLS))
+
+
+LOWER = {"name": "us_per_fe", "better": "lower", "bound": 0.2}
+HIGHER = {"name": "rate", "better": "higher", "bound": 0.2}
+
+
+def pairs_of(parent, change, name="us_per_fe"):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+PARENT = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+
+
+class TestSummarize:
+    def test_a_tie_counts_for_neither_side(self, tool):
+        summary = tool.summarize(pairs_of(PARENT, PARENT), [LOWER])["us_per_fe"]
+        assert summary["change_better_in"] == "0 of 10 pairs"
+        assert summary["verdict"] == "within bound"
+        assert summary["median_change"] == 0.0
+
+    def test_gain_needs_nine_of_ten_wins(self, tool):
+        faster = [p - 0.1 for p in PARENT]
+        summary = tool.summarize(pairs_of(PARENT, faster), [LOWER])["us_per_fe"]
+        assert summary["change_better_in"] == "10 of 10 pairs"
+        assert summary["verdict"] == "gain"
+        nine = faster[:9] + [PARENT[9]]  # the last pair ties
+        assert tool.summarize(pairs_of(PARENT, nine), [LOWER])["us_per_fe"]["verdict"] == "gain"
+        eight = faster[:8] + PARENT[8:]
+        summary = tool.summarize(pairs_of(PARENT, eight), [LOWER])["us_per_fe"]
+        assert summary["change_better_in"] == "8 of 10 pairs"
+        assert summary["verdict"] == "within bound"
+
+    def test_gain_needs_a_gap_above_the_parents_spread(self, tool):
+        # every pair won by less than the parent's interquartile range
+        summary = tool.summarize(pairs_of(PARENT, [p - 0.001 for p in PARENT]), [LOWER])["us_per_fe"]
+        assert summary["change_better_in"] == "10 of 10 pairs"
+        assert summary["parent"]["q3"] - summary["parent"]["q1"] > 0.001
+        assert summary["verdict"] == "within bound"
+
+    def test_higher_is_better_metrics_win_upward(self, tool):
+        summary = tool.summarize(pairs_of(PARENT, [p + 0.1 for p in PARENT], "rate"), [HIGHER])["rate"]
+        assert summary["verdict"] == "gain"
+
+    def test_a_metric_either_side_lacks_is_left_out(self, tool):
+        pairs = [{"parent": {"us_per_fe": 1.0}, "change": {}}] * 3
+        assert tool.summarize(pairs, [LOWER]) == {}
+
+
+class TestVerdict:
+    @staticmethod
+    def side(median, q1=None, q3=None):
+        return {"median": median, "q1": median if q1 is None else q1, "q3": median if q3 is None else q3}
+
+    def test_worse_means_worse_by_more_than_the_bound(self, tool):
+        parent = self.side(1.0)
+        assert tool.verdict(parent, self.side(1.25), 0, 10, True, 0.2) == "worse"
+        assert tool.verdict(parent, self.side(1.15), 0, 10, True, 0.2) == "within bound"
+        assert tool.verdict(parent, self.side(0.75), 0, 10, False, 0.2) == "worse"
+        assert tool.verdict(parent, self.side(0.85), 0, 10, False, 0.2) == "within bound"
+
+    def test_unresolved_means_the_parents_spread_exceeds_the_bound(self, tool):
+        wide = self.side(1.0, 0.8, 1.3)
+        assert tool.verdict(wide, self.side(1.1), 5, 10, True, 0.2) == "unresolved"
+        assert tool.verdict(self.side(1.0, 0.95, 1.05), self.side(1.1), 5, 10, True, 0.2) == "within bound"
+        assert tool.verdict(wide, self.side(1.3), 0, 10, True, 0.2) == "worse"  # worse comes first
+
+    def test_gain_needs_nine_in_ten_wins_and_a_gap_above_the_parents_spread(self, tool):
+        parent = self.side(1.0, 0.95, 1.05)
+        assert tool.verdict(parent, self.side(0.85), 9, 10, True, 0.2) == "gain"
+        assert tool.verdict(parent, self.side(0.85), 8, 10, True, 0.2) == "within bound"
+        assert tool.verdict(parent, self.side(0.96), 10, 10, True, 0.2) == "within bound"
+        wide = self.side(1.0, 0.8, 1.3)  # a gap above a spread wider than the bound is still a gain
+        assert tool.verdict(wide, self.side(0.4), 10, 10, True, 0.2) == "gain"
+
+
+def test_one_pair_is_refused_before_anything_runs(tool, capsys, monkeypatch):
+    root = Path(tool.ROOT)
+    before = sorted(root.glob("BENCH_*.json"))
+    monkeypatch.setattr(tool, "bench", lambda *args: pytest.fail("a benchmark ran"))
+    monkeypatch.setattr(tool, "checkout", lambda *args: pytest.fail("a tree was copied"))
+    argv = ["--parent", "HEAD", "--pr", "999999", "--workload", "paper-d10", "--seeds", "1", "--pairs", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(argv)
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert sorted(root.glob("BENCH_*.json")) == before

@@ -86,6 +86,25 @@ class TestRunCommand:
         assert "fe_budget" in err and "got 10000" in err
         assert not out and not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_gpso_is_held_only_to_its_own_first_swarm(self, tmp_path, capsys, monkeypatch, command):
+        # gpso builds no exploration swarm, so an exploration_size above the
+        # default budget of 10000 x dim does not refuse it
+        monkeypatch.setenv("AMPSO_EXPLORATION_SIZE", "20000")
+        argv = [command, "--algo", "gpso", "--function", "sphere", "--dim", "1", "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv + (["--runs", "2"] if command == "bench" else []), capsys)
+        assert code == 0, err
+        assert not err and "gpso sphere dim=1" in out
+
+    @pytest.mark.parametrize("command, algo", [("run", "ampso"), ("bench", "ampso,gpso"), ("bench", "gpso,ampso")])
+    def test_ampso_in_the_grid_holds_it_to_ampsos_first_swarm(self, tmp_path, capsys, monkeypatch, command, algo):
+        monkeypatch.setenv("AMPSO_EXPLORATION_SIZE", "20000")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli([command, "--algo", algo, "--function", "sphere", "--dim", "1", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "at least 20000 evaluations, got 10000" in err
+        assert not out and not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algo", ["ampso", "gpso"])
     def test_infinite_objective_exits_1(self, capsys, monkeypatch, algo):

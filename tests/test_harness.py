@@ -193,6 +193,13 @@ class TestCampaign:
         with pytest.raises(ValueError, match=re.escape(message)):
             CampaignSpec(**{field: value}, config=TINY).validate()
 
+    def test_budget_checked_against_each_algorithms_first_swarm(self):
+        config = AmpsoConfig(exploration_size=500, fe_budget=100)
+        CampaignSpec(algorithms=("gpso",), config=config).validate()
+        for algorithms in (("ampso",), ("gpso", "ampso")):
+            with pytest.raises(ValueError, match="at least 500 evaluations, got 100"):
+                CampaignSpec(algorithms=algorithms, config=config).validate()
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(algorithms=("simulated-annealing",)).validate()

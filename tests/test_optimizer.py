@@ -119,6 +119,21 @@ class TestConfig:
         assert 0 < result.fe_used <= floor
         assert math.isfinite(result.best_error) and result.trace
 
+    def test_each_algorithm_is_held_to_its_own_first_swarm(self):
+        # gpso builds only its convergence_size swarm; ampso's exploration
+        # swarm counts too; validate, knowing neither, holds the smaller rule
+        calls = []
+        spec = sphere_with(3, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
+        config = AmpsoConfig(exploration_size=500, fe_budget=100)
+        config.validate()
+        assert config.resolved_budget(3) == config.resolved_budget(3, "gpso") == 100
+        with pytest.raises(ConfigError, match="at least 500 evaluations, got 100"):
+            run_ampso(config, spec, seed=0)
+        assert not calls
+        assert run_gpso(config, spec, seed=0).fe_used == 80
+        with pytest.raises(ConfigError, match="at least 40 evaluations, got 39"):
+            AmpsoConfig(exploration_size=500, fe_budget=39).validate()
+
     @pytest.mark.parametrize("seed", [1.7, True, "5"])
     @pytest.mark.parametrize("run", [run_ampso, run_gpso])
     def test_mistyped_seed_argument_rejected_before_any_evaluation(self, run, seed):
@@ -267,6 +282,21 @@ class TestRunAmpso:
         monkeypatch.setattr(optimizer_module, "pso_step", checked_step)
         run_ampso(config, spec, seed=3)
         assert checked["n"] >= 100
+
+    def test_each_stall_count_computes_its_rebuild_probability_once(self, monkeypatch):
+        # the probability is pure in (total iterations, stall count); the
+        # stall count climbs by one and resets to 0 after each rebuild
+        asked, rebuilds = [], []
+        real_probability, real_rebuild = optimizer_module.reconstruct_probability, optimizer_module.full_reconstruct
+        monkeypatch.setattr(
+            optimizer_module, "reconstruct_probability", lambda *args: asked.append(args) or real_probability(*args)
+        )
+        monkeypatch.setattr(
+            optimizer_module, "full_reconstruct", lambda *args: rebuilds.append(1) or real_rebuild(*args)
+        )
+        run_ampso(AmpsoConfig(fe_budget=20_000), make_spec("rastrigin", 2), seed=4)
+        assert rebuilds
+        assert asked == [(500, stalled) for stalled in range(len(asked))]
 
     def test_different_seeds_diverge(self):
         spec = make_spec("rastrigin", 3)

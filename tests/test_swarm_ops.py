@@ -585,3 +585,117 @@ class TestPsoStepPaths:
         drawn = RngStream(5).uniform(size=(200, 7)) * 2.0 - 1.0
         expected = reference.uniform(-1.0, 1.0, (200, 7))
         assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
+
+
+def reference_install(swarm, sel, positions, spec, counter):
+    fitness = evaluate_batch(spec, positions, counter)
+    swarm.positions[sel] = swarm.best_positions[sel] = positions
+    swarm.current_fitness[sel] = swarm.best_fitness[sel] = fitness
+    swarm.velocities[sel] = 0.0
+    swarm.refresh_global_best()
+
+
+def reference_partial_reconstruct(swarm, n_worst, sigma, spec, rng, counter):
+    """partial_reconstruct with no bound operand: a fancy +=, ndarray.clip and a scalar velocity fill."""
+    idx = (-swarm.current_fitness).argsort(kind="stable")[:n_worst]
+    counter.require(n_worst)
+    dims = rng.integers(swarm.dimension, size=n_worst)
+    r = rng.normal(0.0, sigma, size=n_worst)
+    positions = np.empty((n_worst, swarm.dimension))
+    positions[:] = swarm.global_best_position
+    positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
+    positions.clip(spec.bounds.lower, spec.bounds.upper, out=positions)
+    reference_install(swarm, idx, positions, spec, counter)
+
+
+def reference_full_reconstruct(swarm, sigma, spec, rng, counter):
+    """full_reconstruct with its cloud clipped by ndarray.clip and a scalar velocity fill."""
+    counter.require(swarm.size)
+    positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
+    positions *= spec.bounds.span
+    positions += swarm.global_best_position
+    positions.clip(spec.bounds.lower, spec.bounds.upper, out=positions)
+    reference_install(swarm, slice(None), positions, spec, counter)
+
+
+# every box holds 0.0, some on an edge with either sign, so a best of -0.0
+# or 0.0 on an edge meets a bound of the other sign and the clamp's tie
+# decides the sign of the zero
+EDGES = [(-5.12, 5.12), (0.0, 3.0), (-2.0, -0.0), (-0.0, 1.0), (-100.0, 100.0)]
+ON_EDGE = ["lower", "upper", "zero", "negative zero"]
+
+
+class TestReconstructPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 5),
+        n=st.integers(2, 12),
+        sigma=st.floats(0.1, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_reconstructs_equal_the_reference(self, data, d, n, sigma, seed):
+        # partial, full, then partial again: each leaves the swarm, the
+        # counter and the stream as the reference does, bit for bit
+        n_worst = data.draw(st.integers(1, n), label="n_worst")
+        edges = [data.draw(st.sampled_from(EDGES), label="box") for _ in range(d)]
+        lower, upper = np.array(edges).T
+        spec = ObjectiveSpec(Bounds(lower, upper), REGISTRY["sphere"].function)
+        picks = {"lower": lower, "upper": upper, "zero": np.zeros(d), "negative zero": np.full(d, -0.0)}
+        best = np.array([picks[data.draw(st.sampled_from(ON_EDGE), label="best")][j] for j in range(d)])
+        draws = np.random.default_rng(seed)
+        base = build_swarm(draws.uniform(lower, upper, (n, d)), draws.integers(0, 4, n).astype(float))  # ties
+        base.global_best_position, base.global_best_fitness = best, -1.0
+        ours, theirs = copy.deepcopy(base), copy.deepcopy(base)
+        rngs, counters = (RngStream(seed), RngStream(seed)), (EvalCounter(3 * n), EvalCounter(3 * n))
+        for bound, reference in (
+            (lambda s, r, c: partial_reconstruct(s, n_worst, sigma, spec, r, c),
+             lambda s, r, c: reference_partial_reconstruct(s, n_worst, sigma, spec, r, c)),
+            (lambda s, r, c: full_reconstruct(s, sigma, spec, r, c),
+             lambda s, r, c: reference_full_reconstruct(s, sigma, spec, r, c)),
+            (lambda s, r, c: partial_reconstruct(s, n_worst, sigma, spec, r, c),
+             lambda s, r, c: reference_partial_reconstruct(s, n_worst, sigma, spec, r, c)),
+        ):
+            bound(ours, rngs[0], counters[0])
+            reference(theirs, rngs[1], counters[1])
+            for name in STATE:
+                assert same_bits(getattr(ours, name), getattr(theirs, name)), name
+            assert same_bits(ours.global_best_fitness, theirs.global_best_fitness)
+            assert counters[0].used == counters[1].used
+        assert same_bits(rngs[0].uniform(size=3), rngs[1].uniform(size=3))
+        assert same_bits(rngs[0].normal(size=3), rngs[1].normal(size=3))
+
+    def test_operands_follow_each_box_and_count(self):
+        # one swarm rebuilt under two boxes and two n_worst values in turn,
+        # one of the two changing at a time, equals a swarm built afresh each
+        # time; the boxes share their lower bounds and the best sits near the
+        # upper corner, so the upper bound clamps moved coordinates
+        wide = ObjectiveSpec(Bounds.cube(-5.12, 5.12, 4), lambda x: np.sum((x - 5.0) ** 2, axis=-1))
+        tall = ObjectiveSpec(Bounds(wide.bounds.lower, np.array([5.5, 6.0, 8.0, 9.5])), wide.function)
+        swarm = initialize_swarm(wide, 12, RngStream(51), 0.01 * wide.bounds.span, EvalCounter(budget=12))
+        swarm.global_best_position, swarm.global_best_fitness = np.full(4, 5.0), 0.0
+        for step in range(16):
+            spec, n_worst = (wide, tall)[(step + 1) // 2 % 2], (3, 7)[step // 2 % 2]
+            fresh = rebuilt(swarm)
+            for s in (swarm, fresh):
+                partial_reconstruct(s, n_worst, 0.2, spec, RngStream(step), EvalCounter(budget=n_worst))
+            assert_same_state(swarm, fresh)
+
+    def test_deep_copy_rebuilds_like_its_original_and_shares_no_array(self):
+        spec = make_spec("rastrigin", 10)
+        original = initialize_swarm(spec, 40, RngStream(61), 0.01 * spec.bounds.span, EvalCounter(budget=40))
+        partial_reconstruct(original, 10, 0.15, spec, RngStream(62), EvalCounter(budget=10))  # bound before the copy
+        twin = copy.deepcopy(original)
+        rngs = RngStream(63), RngStream(63)
+        for step in range(20):
+            for swarm, rng in zip((original, twin), rngs):
+                if step % 5 == 4:
+                    full_reconstruct(swarm, 0.15, spec, rng, EvalCounter(budget=40))
+                else:
+                    partial_reconstruct(swarm, 10, 0.15, spec, rng, EvalCounter(budget=10))
+            assert_same_state(original, twin)
+        for name in STATE:
+            assert not np.shares_memory(getattr(original, name), getattr(twin, name)), name
+        starts, *_, at_rest = twin.work.rebuild
+        assert not np.shares_memory(starts, original.work.rebuild[0])
+        assert not np.shares_memory(at_rest, original.work.rebuild[-1])

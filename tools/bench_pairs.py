@@ -52,6 +52,8 @@ SECONDS = 30
 WIN_SHARE = 0.9
 TRACED_LAYERS = (
     "swarm_ops.pso_step.self_us_per_call",
+    "swarm_ops.partial_reconstruct.self_us_per_call",
+    "swarm_ops.full_reconstruct.self_us_per_call",
     "diversity.hybrid_diversity.us_per_call",
     "core.evaluate_batch.self_us_per_call",
     "benchmarks.objective.us_per_call",
@@ -148,6 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) != len(args.workload):
         parser.error("give one --seeds per --workload")
+    if args.pairs < 2:  # the quartiles of each side's runs need two values
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
 
