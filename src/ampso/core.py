@@ -228,6 +228,12 @@ class Swarm:
         g = self.global_best_fitness.index(min(self.global_best_fitness))
         return self.global_best_position[g, 0], self.global_best_fitness[g]
 
+    def group_bests(self) -> list[tuple[np.ndarray, float]]:
+        """(position, fitness) of each group's global best, group by group."""
+        if not self.work.groups:
+            return [(self.global_best_position, self.global_best_fitness)]
+        return list(zip(self.global_best_position[:, 0], self.global_best_fitness))
+
     def refresh_global_best(self) -> None:
         """Pull each group's best down to its best personal best, keeping the incumbent."""
         if not self.work.groups:

@@ -3,7 +3,9 @@
 A campaign is a grid of (algorithm, function, dimension) cells, each run R
 times with seeds ``base_seed + run_index`` so any single run can be
 re-derived.  Outputs are deterministic: rerunning a campaign with the same
-base seed produces byte-identical files.
+base seed produces byte-identical files.  A cell of an algorithm in
+``LOCKSTEP`` is one task whose R runs step together, with the same
+results as R tasks of one run each.
 
 File layout under the output directory:
     runs.csv      one row per run (the raw material for the summaries)
@@ -27,10 +29,11 @@ import numpy as np
 
 from .benchmarks import get_entry, make_spec
 from .core import is_integer
-from .optimizer import AmpsoConfig, RunResult, TracePoint, run_ampso, run_gpso
+from .optimizer import AmpsoConfig, RunResult, TracePoint, run_ampso, run_gpso, run_gpso_lockstep
 
 __all__ = [
     "ALGORITHMS",
+    "LOCKSTEP",
     "StatsSummary",
     "CampaignSpec",
     "CellResult",
@@ -42,6 +45,10 @@ __all__ = [
 ]
 
 ALGORITHMS = {"ampso": run_ampso, "gpso": run_gpso}
+
+# cell entries: every run of one of these algorithms' cells takes the same
+# iterations, so a cell's runs step as one swarm of a group per run
+LOCKSTEP = {"gpso": run_gpso_lockstep}
 
 TRACE_COLUMNS = TracePoint._fields
 
@@ -124,10 +131,22 @@ class CampaignSpec:
     def cells(self):
         return product(self.algorithms, self.functions, self.dimensions)
 
-    def tasks(self):
+    def tasks(self) -> list[tuple]:
+        """The campaign's tasks ``(algorithm, function, dim, run, seed, config, runs)``.
+
+        A task runs ``runs`` runs from index ``run`` and seed ``seed`` on:
+        a whole cell of an algorithm in ``LOCKSTEP``, one run otherwise.
+        The tasks with the most runs come first, so a pool does not end on
+        one long cell task while its other workers stand idle.
+        """
+        tasks = []
         for algorithm, function, dim in self.cells():
-            for run in range(self.runs):
-                yield (algorithm, function, dim, run, self.base_seed + run, self.config)
+            if algorithm in LOCKSTEP and self.runs > 1:
+                tasks.append((algorithm, function, dim, 0, self.base_seed, self.config, self.runs))
+            else:
+                seeds = range(self.base_seed, self.base_seed + self.runs)
+                tasks += [(algorithm, function, dim, run, seed, self.config, 1) for run, seed in enumerate(seeds)]
+        return sorted(tasks, key=lambda task: -task[-1])
 
 
 class RunRecord(NamedTuple):
@@ -158,34 +177,51 @@ RUNS_COLUMNS = RunRecord._fields[:-1]
 CELL_KEYS = CellResult._fields[: CellResult._fields.index("stats")]
 
 
-def execute_run(task) -> RunRecord:
-    """Run one seeded (algorithm, function, dim) instance; picklable for pools."""
-    algorithm, function, dim, run, seed, config = task
+def execute_run(task) -> list[RunRecord]:
+    """Run one task of :meth:`CampaignSpec.tasks`, a record per run; picklable for pools.
+
+    A task of more than one run steps them together through its
+    algorithm's ``LOCKSTEP`` entry.
+    """
+    algorithm, function, dim, run, seed, config, runs = task
     spec = make_spec(function, dim)
-    result: RunResult = ALGORITHMS[algorithm](config, spec, seed=seed)
-    return RunRecord(algorithm, function, dim, run, seed, result.best_error, result.fe_used)
+    if runs == 1:
+        results = [ALGORITHMS[algorithm](config, spec, seed=seed)]
+    else:
+        results = LOCKSTEP[algorithm](config, spec, range(seed, seed + runs))
+    return [
+        RunRecord(algorithm, function, dim, run + i, seed + i, result.best_error, result.fe_used)
+        for i, result in enumerate(results)
+    ]
 
 
-def _execute_or_flag(task) -> RunRecord:
-    """Like execute_run but a failure becomes a NaN record naming the exception."""
+def _execute_or_flag(task) -> list[RunRecord]:
+    """Like execute_run but a failure becomes a NaN record naming the exception.
+
+    A failed task of several runs is run again one run at a time, so each
+    run that fails gets its own record and reason.
+    """
     try:
         return execute_run(task)
     except Exception as exc:
-        algorithm, function, dim, run, seed, _ = task
-        return RunRecord(algorithm, function, dim, run, seed, math.nan, 0, f"{type(exc).__name__}: {exc}")
+        algorithm, function, dim, run, seed, config, runs = task
+        if runs > 1:
+            singles = [(algorithm, function, dim, run + i, seed + i, config, 1) for i in range(runs)]
+            return [record for single in singles for record in _execute_or_flag(single)]
+        return [RunRecord(algorithm, function, dim, run, seed, math.nan, 0, f"{type(exc).__name__}: {exc}")]
 
 
 def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResult]]:
     """Execute every cell; per-cell failures are recorded, not fatal."""
     campaign.validate()
-    tasks = list(campaign.tasks())
+    tasks = campaign.tasks()
     if campaign.jobs > 1:
         with ProcessPoolExecutor(max_workers=campaign.jobs) as pool:
             outcomes = list(pool.map(_execute_or_flag, tasks, chunksize=1))
     else:
         outcomes = [_execute_or_flag(task) for task in tasks]
 
-    records = sorted(outcomes, key=lambda r: r[:4])  # algorithm, function, dim, run
+    records = sorted((r for batch in outcomes for r in batch), key=lambda r: r[:4])  # algorithm, function, dim, run
     cells: list[CellResult] = []
     for cell in campaign.cells():
         cell_records = [r for r in records if r[:3] == cell]
@@ -200,8 +236,17 @@ def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResu
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    A missing directory is a ``FileNotFoundError`` that names ``path``,
+    the path the caller gave, not the temporary file.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as handle:
+    try:
+        handle = open(tmp, "w", newline="")
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    with handle:
         handle.write(text)
     os.replace(tmp, path)
 

@@ -10,7 +10,8 @@ before every block of work, so a run never overspends and ends with less
 than one convergence iteration of slack.
 
 ``run_gpso`` provides the classic linearly-decreasing-inertia global-best
-swarm under the same budget, trace and result contract.
+swarm under the same budget, trace and result contract, and
+``run_gpso_lockstep`` runs many seeds of it as the groups of one swarm.
 """
 
 from __future__ import annotations
@@ -46,11 +47,17 @@ __all__ = [
     "CONVERGENCE",
     "run_ampso",
     "run_gpso",
+    "run_gpso_lockstep",
+    "LOCKSTEP_RUNS",
 ]
 
 EXPLORATION = "exploration"
 EXPLOITATION = "exploitation"
 CONVERGENCE = "convergence"
+
+# the most runs one lockstep swarm holds: its memory stays that of 32 single
+# runs, and the saving per evaluation has levelled off by 30
+LOCKSTEP_RUNS = 32
 
 
 class ConfigError(ValueError):
@@ -181,12 +188,12 @@ class _Run:
     cap, best-ever solution, trace and phase log.
 
     The run's record is made here and nowhere else: :meth:`log` takes a
-    swarm's best if it beats the best-ever solution and appends the
-    iteration's trace row, :meth:`cover` logs a swarm that no iteration
-    logged, and :meth:`open_phase` notes where a phase starts.  Every
-    swarm a phase builds is logged before anything reads the best-ever
-    solution: it has spent evaluations, so a step or :meth:`cover` logs
-    it.  So the last trace row holds the run's ``fe_used`` and
+    (position, fitness) best if it beats the best-ever solution and
+    appends the iteration's trace row, :meth:`cover` logs a swarm that no
+    iteration logged, and :meth:`open_phase` notes where a phase starts.
+    Every swarm a phase builds is logged before anything reads the
+    best-ever solution: it has spent evaluations, so a step or
+    :meth:`cover` logs it.  So the last trace row holds the run's ``fe_used`` and
     ``best_error``.  The run owns no scratch: each swarm's operators bind
     their own in its :class:`~ampso.core.Workspace`.
 
@@ -226,13 +233,15 @@ class _Run:
     def diversity(self, swarm: Swarm) -> DiversityReading:
         return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
 
-    def log(self, swarm: Swarm, diversity: float, omega: float, er: float) -> None:
-        """Close an iteration: take the swarm's best if it beats the best-ever, then append its trace row.
+    def log(self, best: tuple[np.ndarray, float], diversity: float, omega: float, er: float) -> None:
+        """Close an iteration: take ``best`` if it beats the best-ever, then append its trace row.
 
-        Of k groups the first best one is taken, which is what offering
-        each group in turn would leave.
+        ``best`` is a (position, fitness) pair.  A swarm offers
+        :attr:`Swarm.best`, of k groups the first best one, which is what
+        offering each group in turn would leave; a lockstep run offers its
+        own group's.
         """
-        position, fitness = swarm.best
+        position, fitness = best
         if fitness < self.best_fitness:
             self.best_fitness = float(fitness)
             self.best_position = position.copy()
@@ -248,7 +257,7 @@ class _Run:
         with no inertia or evolution rate.
         """
         if not self.trace or self.trace[-1].fe < self.counter.used:
-            self.log(swarm, float(np.mean(self.diversity(swarm).hybrid)), math.nan, math.nan)
+            self.log(swarm.best, float(np.mean(self.diversity(swarm).hybrid)), math.nan, math.nan)
 
     def result(self) -> RunResult:
         """The run's outcome; each phase span ends where the next one starts."""
@@ -314,7 +323,7 @@ def _explore(run: _Run) -> Swarm:
         omegas = [omega_exploration(e) for e in diversities]
         column = np.array(omegas).repeat(config.sub_swarm_size)[:, None]  # each group's inertia on its rows
         pso_step(swarm, run.kinematics(column), run.spec, run.rng, counter)
-        run.log(swarm, _mean(diversities), _mean(omegas), math.nan)
+        run.log(swarm.best, _mean(diversities), _mean(omegas), math.nan)
     run.cover(swarm)
     return swarm
 
@@ -344,7 +353,7 @@ def _exploit(run: _Run, seed: Swarm) -> None:
         pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
         history.record(swarm.global_best_fitness)
         er = evolution_rate(history)
-        run.log(swarm, reading.hybrid, omega, er)
+        run.log(swarm.best, reading.hybrid, omega, er)
         if er < config.stagnation_threshold:
             break
     run.cover(swarm)
@@ -378,7 +387,7 @@ def _converge(run: _Run) -> None:
             stalled = 0
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
-        run.log(swarm, reading.hybrid, omega, er)
+        run.log(swarm.best, reading.hybrid, omega, er)
     run.cover(swarm)
 
 
@@ -389,17 +398,99 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     handling, budget law and trace contract as the multi-swarm run; the
     diversity column is diagnostic only.
     """
-    run = _Run(config, spec, seed, "gpso")
-    spec, counter, size = run.spec, run.counter, config.convergence_size
-    run.open_phase("gpso")
-    swarm = initialize_swarm(spec, size, run.rng, run.speed.upper, counter)
-    history = FitnessHistory(window=config.rate_window)
-    run.cover(swarm)
-    while counter.remaining >= size:
-        run.iteration += 1
-        omega = linear_inertia(run.iteration, run.total_iterations)
-        reading = run.diversity(swarm)
-        pso_step(swarm, run.kinematics(omega), spec, run.rng, counter)
-        history.record(swarm.global_best_fitness)
-        run.log(swarm, reading.hybrid, omega, evolution_rate(history))
-    return run.result()
+    return run_gpso_lockstep(config, spec, [seed])[0]
+
+
+def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds) -> list[RunResult]:
+    """``[run_gpso(config, spec, seed) for seed in seeds]`` bit for bit, stepped in lockstep.
+
+    Every gpso run of one config and problem takes the same iterations
+    with the same inertia, so up to :data:`LOCKSTEP_RUNS` runs at a time
+    step as the groups of one swarm: one reading, one step and one
+    objective call an iteration instead of one per run.  A problem with a
+    rotation runs one run at a time, because a stacked ``x @ Q.T`` need
+    not round as each run's own product does.
+    """
+    seeds = list(seeds)
+    width = LOCKSTEP_RUNS if spec.rotation is None else 1
+    results = []
+    for start in range(0, len(seeds), width):
+        runs = [_Run(config, spec, seed, "gpso") for seed in seeds[start : start + width]]
+        _gpso(runs)
+        results += [run.result() for run in runs]
+    return results
+
+
+def _gpso(runs: list[_Run]) -> None:
+    """Run the gpso ``runs``, which share a config and a problem, as one swarm of a group per run.
+
+    Each run builds its swarm from its own stream and counter and logs
+    it; then the swarms are stacked and every iteration reads, steps and
+    evaluates them together.  Run g's draws fill group g's slice of the
+    step's block from run g's stream (:class:`_Streams`), and its
+    evaluations are spent on its own counter (:class:`_Counters`), so each
+    run's record is the one it would make alone.  A single run steps its
+    own swarm with its own stream and counter.
+    """
+    lead = runs[0]
+    config, size = lead.config, lead.config.convergence_size
+    swarms = []
+    for run in runs:
+        run.open_phase("gpso")
+        swarms.append(initialize_swarm(run.spec, size, run.rng, run.speed.upper, run.counter))
+        run.cover(swarms[-1])
+    histories = [FitnessHistory(window=config.rate_window) for _ in runs]
+    if len(runs) == 1:
+        swarm, rng, counter = swarms[0], lead.rng, lead.counter
+    else:
+        swarm, rng, counter = Swarm.stack(swarms), _Streams(runs), _Counters(runs)
+    rows, iteration = swarm.size, 0
+    while counter.remaining >= rows:
+        iteration += 1
+        omega = linear_inertia(iteration, lead.total_iterations)
+        reading = lead.diversity(swarm)
+        pso_step(swarm, lead.kinematics(omega), lead.spec, rng, counter)
+        diversities = reading.hybrid if len(runs) > 1 else [reading.hybrid]
+        for run, history, best, diversity in zip(runs, histories, swarm.group_bests(), diversities):
+            run.iteration = iteration
+            history.record(best[1])
+            run.log(best, diversity, omega, evolution_rate(history))
+
+
+class _Streams:
+    """The streams of lockstep runs as one: a (k, ...) uniform block fills
+    its group g from run g's stream, as run g alone would draw it."""
+
+    def __init__(self, runs: list[_Run]):
+        self.streams = [run.rng for run in runs]
+
+    def uniform(self, size: tuple[int, ...]) -> np.ndarray:
+        block = np.empty(size)
+        for group, stream in zip(block, self.streams):
+            group[...] = stream.uniform(size=size[1:])
+        return block
+
+
+class _Counters:
+    """The counters of k lockstep runs as one: n evaluations, n / k rows on
+    each run's group, are n / k on each run's counter.
+
+    ``remaining`` counts in the stacked swarm's rows, k times the least
+    any run has left.  Every counter is checked before any is spent.
+    """
+
+    def __init__(self, runs: list[_Run]):
+        self.counters = [run.counter for run in runs]
+
+    @property
+    def remaining(self) -> int:
+        return len(self.counters) * min(counter.remaining for counter in self.counters)
+
+    def require(self, n: int) -> None:
+        for counter in self.counters:
+            counter.require(n // len(self.counters))
+
+    def spend(self, n: int) -> None:
+        self.require(n)
+        for counter in self.counters:
+            counter.spend(n // len(self.counters))

@@ -1,11 +1,13 @@
 """The verdicts of ``tools/bench_pairs.py``, which writes each ``BENCH_*.json``.
 
 The tool is imported, never modified or run against the repository here:
-its verdict and summary are checked on synthetic pairs, and a run too short
-to give a spread is refused before anything is copied or run.
+its verdict and summary are checked on synthetic pairs, a run too short
+to give a spread is refused before anything is copied or run, and the
+traced record is checked on stubbed runs written under a temporary root.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -107,3 +109,35 @@ def test_one_pair_is_refused_before_anything_runs(tool, capsys, monkeypatch):
     assert exit_info.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert sorted(root.glob("BENCH_*.json")) == before
+
+
+def test_traced_runs_every_workload(tool, tmp_path, monkeypatch):
+    """``--traced`` runs parent, change, change, parent at seed 0 on each workload and records them there."""
+    (tmp_path / "BENCHMARK.json").write_text((Path(tool.ROOT) / "BENCHMARK.json").read_text())
+    calls = []
+
+    def bench(tree, workload, seed, trace):
+        calls.append((tree, workload, seed, trace))
+        values = {"us_per_fe": 1.0, "swarm_ops.pso_step.calls": len(calls), "optimizer.us_per_iteration": 2.0}
+        return {"failed": 0, "correct": True, "values": values}
+
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+    monkeypatch.setattr(tool, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(tool, "checkout", lambda ref, into: "parent-tree")
+    monkeypatch.setattr(tool, "copy_working_tree", lambda into: "change-tree")
+    monkeypatch.setattr(tool, "bench", bench)
+    argv = ["--parent", "HEAD", "--pr", "7", "--pairs", "2", "--traced"]
+    argv += ["--workload", "paper-d10", "--seeds", "11", "--workload", "campaign-jobs2", "--seeds", "31"]
+    assert tool.main(argv) == 0
+
+    traced = [call for call in calls if call[3] == 1]
+    order = ["parent-tree", "change-tree", "change-tree", "parent-tree"]
+    assert traced == [(tree, w, 0, 1) for w in ("paper-d10", "campaign-jobs2") for tree in order]
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    for workload, first_seed in (("paper-d10", 11), ("campaign-jobs2", 31)):
+        entry = record["workloads"][workload]["traced_seed0"]
+        assert entry["command"] == f"python3 perfbench/run.py --workload {workload} --seed 0 --trace 1"
+        assert [run["side"] for run in entry["runs"]] == ["parent", "change", "change", "parent"]
+        assert all(run["correct"] and run["optimizer.us_per_iteration"] == 2.0 for run in entry["runs"])
+        assert all(set(run["counts"]) == {"swarm_ops.pso_step.calls"} for run in entry["runs"])
+        assert [pair["seed"] for pair in record["workloads"][workload]["pairs"]] == [first_seed, first_seed + 1]

@@ -281,6 +281,15 @@ class TestTraceCommand:
         assert code == 1
         assert err
 
+    def test_missing_output_directory_names_the_given_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "run.csv"
+        args = ["run", "--algo", "gpso", "--function", "sphere", "--dim", "1", "--fe-budget", "100"]
+        code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 1
+        assert not stdout
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
 
 class TestBenchCommand:
     def test_single_run_statistics_degenerate(self, tmp_path, capsys):
@@ -367,6 +376,8 @@ class TestBenchCommand:
             raise RuntimeError("objective blew up")
 
         monkeypatch.setitem(harness.ALGORITHMS, "gpso", crash)
+        # a gpso cell steps its runs together; its crash sends them through ALGORITHMS one by one
+        monkeypatch.setitem(harness.LOCKSTEP, "gpso", lambda config, spec, seeds: crash(config, spec))
         args = ["bench", "--algo", "gpso", "--function", "sphere", "--dim", "2", "--runs", "2", "--seed", "3"]
         code, out, _ = run_cli(args + ["--out", str(tmp_path / "b")] + BUDGET_ARGS, capsys)
         assert code == 1

@@ -15,9 +15,10 @@ from ampso.harness import (
     write_campaign_outputs,
     write_trace_csv,
 )
-from ampso.optimizer import AmpsoConfig, PhaseSpan, RunResult, TracePoint, run_ampso
+from ampso.optimizer import AmpsoConfig, PhaseSpan, RunResult, TracePoint, run_ampso, run_gpso_lockstep
 from ampso.benchmarks import make_spec
-from conftest import half_nan_sphere
+from ampso.core import EvalCounter, RngStream, initialize_swarm
+from conftest import half_nan_sphere, sphere_with
 
 TINY = AmpsoConfig(fe_budget=2000)
 
@@ -134,6 +135,8 @@ class TestCampaign:
             raise RuntimeError("objective blew up")
 
         monkeypatch.setitem(harness.ALGORITHMS, "gpso", crash)
+        # a gpso cell steps its runs together; its crash sends them through ALGORITHMS one by one
+        monkeypatch.setitem(harness.LOCKSTEP, "gpso", lambda config, spec, seeds: crash(config, spec))
         campaign = CampaignSpec(
             algorithms=("ampso", "gpso"), functions=("sphere",), dimensions=(2,), runs=2, config=TINY
         )
@@ -160,6 +163,43 @@ class TestCampaign:
         assert re.fullmatch(
             r"run 0 \(seed 0\) failed: ValueError: objective returned NaN for \d+ of \d+ points", cell.error
         )
+
+    def test_nan_in_one_run_of_a_cell_falls_back_run_by_run(self, monkeypatch):
+        # the first point run 1 (seed 1) draws, which no other run meets, reads NaN
+        spec = make_spec("sphere", 2)
+        poisoned = initialize_swarm(spec, TINY.convergence_size, RngStream(1), np.ones(2), EvalCounter(40)).positions[0]
+
+        def poisoned_sphere(x):
+            return np.where((x == poisoned).all(axis=-1), np.nan, np.add.reduce(x * x, axis=-1))
+
+        monkeypatch.setattr(harness, "make_spec", lambda function, dim: sphere_with(dim, poisoned_sphere))
+        cells_tried = []
+
+        def lockstep(config, spec, seeds):
+            cells_tried.append(list(seeds))
+            return run_gpso_lockstep(config, spec, seeds)
+
+        monkeypatch.setitem(harness.LOCKSTEP, "gpso", lockstep)
+        campaign = CampaignSpec(algorithms=("gpso",), functions=("sphere",), dimensions=(2,), runs=3, config=TINY)
+        records, (cell,) = run_campaign(campaign)
+        assert cells_tried == [[0, 1, 2]]
+        assert cell.error == "run 1 (seed 1) failed: ValueError: objective returned NaN for 1 of 40 points"
+        assert math.isnan(records[1].best_error) and records[1].fe_used == 0
+        assert records[1].error == "ValueError: objective returned NaN for 1 of 40 points"
+        for run in (0, 2):
+            assert records[run] == harness.execute_run(("gpso", "sphere", 2, run, run, TINY, 1))[0]
+            assert records[run].error is None and records[run].fe_used == 2000
+
+    def test_cell_tasks_queue_before_single_runs(self):
+        grid = dict(algorithms=("ampso", "gpso"), functions=("sphere", "ackley"), dimensions=(2,))
+        tasks = CampaignSpec(**grid, runs=3, base_seed=5, config=TINY).tasks()
+        cells = [("gpso", "sphere", 2, 0, 5, 3), ("gpso", "ackley", 2, 0, 5, 3)]
+        assert [task[:5] + task[6:] for task in tasks[:2]] == cells
+        singles = [("ampso", "sphere", 2, run, 5 + run, 1) for run in range(3)]
+        assert [task[:5] + task[6:] for task in tasks[2:5]] == singles
+        assert len(tasks) == 8 and all(task[5] is TINY for task in tasks)
+        one_run = CampaignSpec(algorithms=("gpso",), functions=("sphere",), dimensions=(2,), runs=1, config=TINY)
+        assert one_run.tasks() == [("gpso", "sphere", 2, 0, 0, TINY, 1)]
 
     @pytest.mark.parametrize(
         "axis, entries, message",

@@ -23,8 +23,9 @@ neither), and a verdict:
   range) is wider than the bound;
 * ``within bound``: otherwise.
 
-``--traced`` adds per-layer runs (``--trace 1 --seed 0``) in the order
-parent, change, change, parent, with every traced count.
+``--traced`` adds per-layer runs (``--trace 1 --seed 0``) of every
+workload, in the order parent, change, change, parent, with every traced
+count, under the workload's ``traced_seed0``.
 
     python3 tools/bench_pairs.py --parent HEAD --pr 12 --pairs 10 \\
         --workload paper-d10 --seeds 1201 [--workload rotated-d100 --seeds 1221 ...] [--traced]
@@ -98,6 +99,22 @@ def bench(tree: str, workload: str, seed: int, trace: int) -> dict:
     return {"failed": record["failed"], "correct": record["correct"], "values": values}
 
 
+def traced_runs(trees: dict, workload: str) -> dict:
+    """Per-layer runs of ``workload`` at seed 0: parent, change, change, parent."""
+    runs = []
+    for side in ("parent", "change", "change", "parent"):
+        run = bench(trees[side], workload, 0, 1)
+        values = run["values"]
+        layers = {name: values[name] for name in TRACED_LAYERS if name in values}
+        counts = {name: value for name, value in values.items() if name.endswith(COUNT_SUFFIXES)}
+        runs.append({"side": side, "correct": run["correct"], **layers, "counts": counts})
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed 0 --trace 1",
+        "order": "parent, change, change, parent",
+        "runs": runs,
+    }
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -145,7 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", action="append", type=int, required=True, help="first pair seed, per --workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced", action="store_true", help="also run --trace 1 --seed 0 on paper-d10")
+    parser.add_argument("--traced", action="store_true", help="also run --trace 1 --seed 0 on every workload")
     parser.add_argument("--note", default="", help="what the change does, for the record")
     args = parser.parse_args(argv)
     if len(args.seeds) != len(args.workload):
@@ -184,19 +201,8 @@ def main(argv=None) -> int:
                 shown = "  ".join(f"{side} {runs[side]['values'].get('us_per_fe', float('nan')):.4f}" for side in order)
                 print(f"{workload} seed {seed}: {shown}", file=sys.stderr, flush=True)
             record["workloads"][workload] = {"metrics": summarize(pairs, metrics), "pairs": pairs}
-        if args.traced:
-            traced = []
-            for side in ("parent", "change", "change", "parent"):
-                run = bench(trees[side], "paper-d10", 0, 1)
-                values = run["values"]
-                layers = {name: values[name] for name in TRACED_LAYERS if name in values}
-                counts = {name: value for name, value in values.items() if name.endswith(COUNT_SUFFIXES)}
-                traced.append({"side": side, "correct": run["correct"], **layers, "counts": counts})
-            record["traced_paper_d10_seed0"] = {
-                "command": "python3 perfbench/run.py --workload paper-d10 --seed 0 --trace 1",
-                "order": "parent, change, change, parent",
-                "runs": traced,
-            }
+            if args.traced:
+                record["workloads"][workload]["traced_seed0"] = traced_runs(trees, workload)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as handle:
         json.dump(record, handle, indent=1)
