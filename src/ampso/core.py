@@ -122,45 +122,52 @@ def _repeat_rows(vector: np.ndarray, n: int) -> np.ndarray:
 class Workspace:
     """The layout of one swarm, and the operands its operators bind to it.
 
-    The swarm's constructor builds it, so two swarms never share one.
-    ``groups`` is the shape of the swarm's ``global_best_fitness``: () for
-    a swarm of one group, (k,) for k groups of ``size`` rows starting at
-    ``starts``.  ``targets`` is the (2, n, D) block of attractor targets:
-    its first half *is* the swarm's ``best_positions``, and its second
-    half (``group_targets`` views it as k groups) holds ``gbest``, the
-    group bests last copied, on every row of each group.  Each operator
-    owns its scratch: :func:`~ampso.swarm_ops.pso_step` binds its operands
-    and scratch in ``step``, :func:`~ampso.swarm_ops.partial_reconstruct`
-    its own in ``rebuild`` and :func:`~ampso.diversity.hybrid_diversity`
-    its own in ``reading``, on the first call that meets a given box;
-    after that each checks its key by identity only.
+    The swarm's constructor builds it, so two swarms never share one.  The
+    swarm is k equal groups of ``size`` rows, back to back.
+    ``targets`` is the (2, n, D) block of attractor targets: its first half
+    *is* the swarm's ``best_positions``, and its second half holds
+    ``gbest``, the group bests last copied, on every row of each group
+    (``group_targets`` is its (s, k, D) view, row i of every group).
+    ``best_groups`` pairs each group's view of ``best_fitness`` with its
+    view of ``best_positions``: the swarm writes into both arrays and never
+    rebinds them.  Each operator owns its scratch:
+    :func:`~ampso.swarm_ops.pso_step` binds its operands and scratch in
+    ``step``, :func:`~ampso.swarm_ops.partial_reconstruct` its own in
+    ``rebuild`` and :func:`~ampso.diversity.hybrid_diversity` its own in
+    ``reading``, on the first call that meets a given box; after that each
+    checks its key by identity only.
     """
 
     def __init__(self, swarm: "Swarm"):
         n, d = np.shape(swarm.best_positions)
-        self.groups = np.shape(swarm.global_best_fitness)
-        self.size = s = n // np.size(swarm.global_best_fitness)
-        self.starts = range(0, n, s)
+        k = len(swarm.global_best_fitness)
+        if k < 1 or n % k:
+            raise ValueError(f"global_best_fitness must hold k >= 1 group bests, k dividing the {n} rows; got k = {k}")
+        if np.shape(swarm.global_best_position) != (k, d):
+            raise ValueError(f"global_best_position must be a ({k}, {d}) block; got shape {np.shape(swarm.global_best_position)}")
+        self.size = s = n // k
         self.targets = np.empty((2, n, d))
         self.targets[0] = swarm.best_positions
-        self.group_targets = self.targets[1].reshape(n // s, s, d)
+        self.group_targets = self.targets[1].reshape(k, s, d).swapaxes(0, 1)
+        self.best_groups = [(g, swarm.best_fitness[i : i + s], self.targets[0, i : i + s]) for g, i in enumerate(range(0, n, s))]
         self.gbest = self.step_key = self.rebuild_key = self.reading_key = None
 
 
 @dataclass
 class Swarm:
-    """A population stored as row-per-particle matrices.
+    """A population of k >= 1 equal groups stored as row-per-particle matrices.
 
-    ``global_best_*`` is the incumbent best ever observed by this swarm;
-    reconstruction operators may replace the particle it came from, so it is
-    tracked separately and only ever improves.  A swarm of k equal groups
-    (:meth:`stack`) holds its groups' rows back to back and one incumbent
-    per group: a (k, 1, D) ``global_best_position`` and a list of k floats
-    ``global_best_fitness``; a group's particles are drawn only to their own
-    group's best.  The constructor copies ``best_positions`` into the
-    swarm's :class:`Workspace`: write into it, never rebind it.
-    ``global_best_position`` is the other way round: assign a new array,
-    never write into it, so the workspace sees the change by identity.
+    The groups' rows lie back to back, and a group's particles are drawn
+    only to their own group's best.  ``global_best_*`` holds each group's
+    incumbent, the best ever observed by that group: row g of the (k, D)
+    ``global_best_position`` and entry g of the list of k floats
+    ``global_best_fitness``.  Reconstruction operators may replace the
+    particle an incumbent came from, so it is tracked separately and only
+    ever improves.  The constructor copies ``best_positions`` into the
+    swarm's :class:`Workspace` and binds views of it and of
+    ``best_fitness``: write into both, never rebind them.
+    ``global_best_*`` is the other way round: assign a new array and list,
+    never write into them, so the workspace sees the change by identity.
     Copies, deep or shallow, are built through the constructor and own every
     array: a shallow copy that shared the fitness arrays but not the
     personal bests would break their pairing.
@@ -172,7 +179,7 @@ class Swarm:
     best_fitness: np.ndarray
     current_fitness: np.ndarray
     global_best_position: np.ndarray
-    global_best_fitness: float | list[float]
+    global_best_fitness: list[float]
     work: Workspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,7 +197,7 @@ class Swarm:
         fitness: np.ndarray,
         incumbent: tuple[np.ndarray, float] | None = None,
     ) -> "Swarm":
-        """Newly evaluated swarm whose personal bests are its positions.
+        """Newly evaluated one-group swarm whose personal bests are its positions.
 
         The global best is the best new particle, or ``incumbent``, a
         (position, fitness) pair known before the swarm, unless beaten;
@@ -198,19 +205,23 @@ class Swarm:
         from ``(positions[0], +inf)``.
         """
         position, value = incumbent or (positions[0], math.inf)
-        swarm = cls(positions, velocities, positions, fitness.copy(), fitness, np.array(position, dtype=float), float(value))
+        swarm = cls(positions, velocities, positions, fitness.copy(), fitness, np.array(position, float, ndmin=2), [float(value)])
         swarm.refresh_global_best()
         return swarm
 
     @classmethod
     def stack(cls, swarms: list["Swarm"]) -> "Swarm":
-        """One swarm whose k groups are the k equal-sized one-group ``swarms``, in order.
+        """One swarm whose groups are the groups of ``swarms``, in order.
 
-        Stepped and read, it moves and reads as each of them would in turn.
+        Every group must have the same size, or the stacked rows would
+        regroup; unequal sizes are a ``ValueError`` naming them.  Stepped
+        and read, the stack moves and reads as each of ``swarms`` would in
+        turn.
         """
-        rows = [np.concatenate([getattr(s, f.name) for s in swarms]) for f in fields(cls)[:5]]  # the per-particle fields
-        bests = np.array([s.global_best_position for s in swarms])[:, None]
-        return cls(*rows, bests, [s.global_best_fitness for s in swarms])
+        if len({s.work.size for s in swarms}) > 1:
+            raise ValueError(f"stacked groups must have equal sizes, got group sizes {[s.work.size for s in swarms]}")
+        arrays = [np.concatenate([getattr(s, f.name) for s in swarms]) for f in fields(cls)[:6]]  # every array field
+        return cls(*arrays, [value for s in swarms for value in s.global_best_fitness])
 
     @property
     def size(self) -> int:
@@ -222,35 +233,25 @@ class Swarm:
 
     @property
     def best(self) -> tuple[np.ndarray, float]:
-        """(position, fitness) of the global best; of k groups, the first best group's."""
-        if not self.work.groups:
-            return self.global_best_position, self.global_best_fitness
-        g = self.global_best_fitness.index(min(self.global_best_fitness))
-        return self.global_best_position[g, 0], self.global_best_fitness[g]
-
-    def group_bests(self) -> list[tuple[np.ndarray, float]]:
-        """(position, fitness) of each group's global best, group by group."""
-        if not self.work.groups:
-            return [(self.global_best_position, self.global_best_fitness)]
-        return list(zip(self.global_best_position[:, 0], self.global_best_fitness))
+        """(position, fitness) of the first best group's global best."""
+        bests = self.global_best_fitness
+        g = bests.index(min(bests))
+        return self.global_best_position[g], bests[g]
 
     def refresh_global_best(self) -> None:
-        """Pull each group's best down to its best personal best, keeping the incumbent."""
-        if not self.work.groups:
-            i = int(self.best_fitness.argmin())
-            if self.best_fitness[i] < self.global_best_fitness:
-                self.global_best_fitness = float(self.best_fitness[i])
-                self.global_best_position = self.best_positions[i].copy()
-            return
-        # a few groups of a few rows: Python's min and index find what argmin does, for less
-        fitness, bests, position, s = self.best_fitness.tolist(), self.global_best_fitness, None, self.work.size
-        for g, start in enumerate(self.work.starts):
-            value = min(fitness[start : start + s])
-            if value < bests[g]:
-                if position is None:  # a new array, so the workspace sees the change
+        """Pull each group's best down to its best personal best, keeping the incumbent.
+
+        A group takes its first best row only where that lies strictly
+        below its incumbent; any change builds a new block and list.
+        """
+        position, bests = None, self.global_best_fitness
+        for g, fitness, rows in self.work.best_groups:
+            i = fitness.argmin()
+            if fitness[i] < bests[g]:
+                if position is None:  # new objects, so the workspace sees the change
                     position, bests = self.global_best_position.copy(), list(bests)
-                position[g, 0] = self.best_positions[fitness.index(value, start)]
-                bests[g] = value
+                position[g] = rows[i]
+                bests[g] = float(fitness[i])
         if position is not None:
             self.global_best_position, self.global_best_fitness = position, bests
 

@@ -32,7 +32,8 @@ __all__ = [
 class DiversityReading(NamedTuple):
     """Per-iteration diversity snapshot feeding the control laws.
 
-    Of a swarm of k groups, each field holds one reading per group.
+    A swarm of one group reads as floats and a (D,) ``per_dimension``; of
+    k > 1 groups, each field holds one reading per group.
     """
 
     position_entropy: float
@@ -97,14 +98,15 @@ def _bind(swarm: Swarm, bounds: Bounds, bins: int) -> tuple:
     work, (n, d) = swarm.work, swarm.positions.shape
     k, s = n // work.size, work.size
     block = np.empty(n * (d + 1))
-    fitness_groups = [(slice(i, i + s), block[n * d + i : n * d + i + s]) for i in work.starts]
+    fitness_groups = [(slice(i, i + s), block[n * d + i : n * d + i + s]) for i in range(0, n, s)]
     p = np.arange(s + 1) / s
     plogp = p * np.log(np.where(p > 0, p, 1.0))
     group = np.repeat(np.arange(k) * (d + 1) * bins, s)
     offsets = np.concatenate([(group[:, None] + np.arange(d) * bins).ravel(), group + d * bins])
     first, last = np.zeros_like(offsets), np.full_like(offsets, bins - 1)
     scratch = block, block[: n * d].reshape(n, d), fitness_groups, np.empty(block.shape, np.intp)
-    constants = plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins, work.groups + (d + 1, bins)
+    shape = (d + 1, bins) if k == 1 else (k, d + 1, bins)  # one group reads as floats
+    constants = plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins, shape
     return bounds.rows(n)[0], bounds.grid_scale(n, bins), *scratch, *constants
 
 
@@ -126,7 +128,8 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     operands it builds from the box, in the swarm's
     :class:`~ampso.core.Workspace` once per box and bin count.
 
-    A swarm of k groups is read as k swarms, in the same ``bincount``:
+    A swarm of one group reads as floats and a (D,) ``per_dimension``.  A
+    swarm of k > 1 groups is read as k swarms, in the same ``bincount``:
     each group's fitness over its own [min, max], the detour taken per
     group.  Each field then holds one reading per group: a list of k
     floats, and a (k, D) ``per_dimension``.
@@ -171,7 +174,7 @@ def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReadin
     sums, fits = np.add.reduce(per_dim, axis=-1), entropy[..., d]
     # a flat fitness range reads -0.0 and, with 0.0 added, exactly 0.0, as
     # in histogram_entropy; any other range reads above 0
-    if not work.groups:
+    if per_dim.ndim == 1:
         e_pos, e_fit = float(sums) / d, float(fits) + 0.0
         return DiversityReading(e_pos, e_fit, (e_pos + e_fit) / 2.0, per_dim)
     e_pos, e_fit = [total / d for total in sums.tolist()], [e + 0.0 for e in fits.tolist()]

@@ -212,11 +212,16 @@ def _execute_or_flag(task) -> list[RunRecord]:
 
 
 def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResult]]:
-    """Execute every cell; per-cell failures are recorded, not fatal."""
+    """Execute every cell; per-cell failures are recorded, not fatal.
+
+    At most ``jobs`` worker processes run the tasks, and never more workers
+    than tasks: a pool starts all its workers at the first task.
+    """
     campaign.validate()
     tasks = campaign.tasks()
-    if campaign.jobs > 1:
-        with ProcessPoolExecutor(max_workers=campaign.jobs) as pool:
+    workers = min(campaign.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_or_flag, tasks, chunksize=1))
     else:
         outcomes = [_execute_or_flag(task) for task in tasks]

@@ -33,7 +33,7 @@ from .adaptation import (
     sigma_reconstruction,
 )
 from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_integer
-from .diversity import DiversityReading, hybrid_diversity
+from .diversity import hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
 __all__ = [
@@ -230,8 +230,10 @@ class _Run:
     def kinematics(self, omega: float) -> KinematicParams:
         return KinematicParams(omega, self.config.c1, self.config.c2, self.speed)
 
-    def diversity(self, swarm: Swarm) -> DiversityReading:
-        return hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins)
+    def diversity(self, swarm: Swarm) -> list[float]:
+        """The hybrid diversity of each of ``swarm``'s groups, group by group."""
+        hybrid = hybrid_diversity(swarm, self.spec.bounds, self.config.entropy_bins).hybrid
+        return hybrid if type(hybrid) is list else [hybrid]
 
     def log(self, best: tuple[np.ndarray, float], diversity: float, omega: float, er: float) -> None:
         """Close an iteration: take ``best`` if it beats the best-ever, then append its trace row.
@@ -257,7 +259,7 @@ class _Run:
         with no inertia or evolution rate.
         """
         if not self.trace or self.trace[-1].fe < self.counter.used:
-            self.log(swarm.best, float(np.mean(self.diversity(swarm).hybrid)), math.nan, math.nan)
+            self.log(swarm.best, _mean(self.diversity(swarm)), math.nan, math.nan)
 
     def result(self) -> RunResult:
         """The run's outcome; each phase span ends where the next one starts."""
@@ -319,7 +321,7 @@ def _explore(run: _Run) -> Swarm:
     while t < iterations and counter.remaining >= config.exploration_size:
         t += 1
         run.iteration += 1
-        diversities = run.diversity(swarm).hybrid
+        diversities = run.diversity(swarm)
         omegas = [omega_exploration(e) for e in diversities]
         column = np.array(omegas).repeat(config.sub_swarm_size)[:, None]  # each group's inertia on its rows
         pso_step(swarm, run.kinematics(column), run.spec, run.rng, counter)
@@ -345,15 +347,14 @@ def _exploit(run: _Run, seed: Swarm) -> None:
     while t < cap and counter.remaining >= config.exploitation_size:
         t += 1
         run.iteration += 1
-        reading = run.diversity(swarm)
-        omega = omega_standard(reading.hybrid)
-        sigma = sigma_reconstruction(reading.hybrid)
+        [diversity] = run.diversity(swarm)
+        omega, sigma = omega_standard(diversity), sigma_reconstruction(diversity)
         partial_reconstruct(swarm, n_replace, sigma, run.spec, run.rng, counter)
         chosen = run.rng.permutation(swarm.size)[: swarm.size - n_replace]
         pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter, chosen)
-        history.record(swarm.global_best_fitness)
+        history.record(swarm.global_best_fitness[0])  # of its one group
         er = evolution_rate(history)
-        run.log(swarm.best, reading.hybrid, omega, er)
+        run.log(swarm.best, diversity, omega, er)
         if er < config.stagnation_threshold:
             break
     run.cover(swarm)
@@ -373,10 +374,9 @@ def _converge(run: _Run) -> None:
     probabilities: list[float] = []
     while counter.remaining >= config.convergence_size:
         run.iteration += 1
-        reading = run.diversity(swarm)
-        omega = omega_standard(reading.hybrid)
-        sigma = sigma_reconstruction(reading.hybrid)
-        history.record(swarm.global_best_fitness)
+        [diversity] = run.diversity(swarm)
+        omega, sigma = omega_standard(diversity), sigma_reconstruction(diversity)
+        history.record(swarm.global_best_fitness[0])  # of its one group
         er = evolution_rate(history)
         if er < config.stagnation_threshold:
             stalled += 1
@@ -387,7 +387,7 @@ def _converge(run: _Run) -> None:
             stalled = 0
         else:
             pso_step(swarm, run.kinematics(omega), run.spec, run.rng, counter)
-        run.log(swarm.best, reading.hybrid, omega, er)
+        run.log(swarm.best, diversity, omega, er)
     run.cover(swarm)
 
 
@@ -448,10 +448,10 @@ def _gpso(runs: list[_Run]) -> None:
     while counter.remaining >= rows:
         iteration += 1
         omega = linear_inertia(iteration, lead.total_iterations)
-        reading = lead.diversity(swarm)
+        diversities = lead.diversity(swarm)
         pso_step(swarm, lead.kinematics(omega), lead.spec, rng, counter)
-        diversities = reading.hybrid if len(runs) > 1 else [reading.hybrid]
-        for run, history, best, diversity in zip(runs, histories, swarm.group_bests(), diversities):
+        bests = zip(swarm.global_best_position, swarm.global_best_fitness)  # run g's best is group g's
+        for run, history, best, diversity in zip(runs, histories, bests, diversities):
             run.iteration = iteration
             history.record(best[1])
             run.log(best, diversity, omega, evolution_rate(history))

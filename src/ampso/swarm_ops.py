@@ -68,9 +68,9 @@ def pso_step(
     v <- omega*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with fresh r1
     and r2 for every particle and dimension, velocity clipped to +-vmax,
     position clipped to the bounds, then one re-evaluation per particle.
-    Unselected particles are untouched.  In a swarm of k groups, gbest is
-    each particle's group best and ``params.omega`` may be an (n, 1)
-    column, one inertia per row.  Draw order: one (k, 2, s, D) uniform
+    Unselected particles are untouched.  gbest is each particle's group
+    best, and ``params.omega`` may be an (n, 1) column, one inertia per
+    row.  Draw order: one (k, 2, s, D) uniform
     block, r1 then r2 of each group of s rows in turn (the same stream as
     an r1 block followed by an r2 block, group after group); a subset
     step of fewer than n rows draws as one group.  Both attractors come
@@ -202,9 +202,10 @@ def partial_reconstruct(
     """Rebuild the worst particles as one-dimension perturbations of the best.
 
     Each of the ``n_worst`` particles with the largest current fitness is
-    moved onto the global best position, except for a single uniformly
-    chosen dimension d set to best[d] + span[d] * r with r ~ N(0, sigma^2),
-    clipped to the box.  Rebuilt particles get velocity 0 and their
+    moved onto the swarm's best position (:attr:`~ampso.core.Swarm.best`),
+    except for a single uniformly chosen dimension d set to best[d] +
+    span[d] * r with r ~ N(0, sigma^2), clipped to the box.  Rebuilt
+    particles get velocity 0 and their
     personal best reset to the new point (a stale best would drag them
     straight back).  Costs ``n_worst`` evaluations.  Draw order: dimension
     picks, then Gaussian offsets.  The operator binds, in the swarm's
@@ -223,7 +224,7 @@ def partial_reconstruct(
     counter.require(n_worst)
     dims = rng.integers(swarm.dimension, size=n_worst)
     r = rng.normal(0.0, sigma, size=n_worst)
-    work, bounds, best, d = swarm.work, spec.bounds, swarm.global_best_position, swarm.dimension
+    work, bounds, best, d = swarm.work, spec.bounds, swarm.best[0], swarm.dimension
     key = (bounds, n_worst)
     if key != work.rebuild_key:  # bind the flat row starts, the box's row blocks and the rebuilt velocities
         at_rest = np.zeros((n_worst, d))
@@ -247,7 +248,7 @@ def full_reconstruct(
     rng: RngStream,
     counter: EvalCounter,
 ) -> None:
-    """Rebuild every particle around the global best to escape a trap.
+    """Rebuild every particle around the swarm's best to escape a trap.
 
     Unlike :func:`partial_reconstruct`, all dimensions are perturbed:
     x <- best + span * g with g ~ N(0, sigma^2) per dimension, clipped.
@@ -258,4 +259,4 @@ def full_reconstruct(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     counter.require(swarm.size)
-    _install(swarm, slice(None), _cloud(swarm.global_best_position, sigma, swarm.size, spec, rng), spec, counter)
+    _install(swarm, slice(None), _cloud(swarm.best[0], sigma, swarm.size, spec, rng), spec, counter)

@@ -28,8 +28,8 @@ def build_swarm(positions, current_fitness=None) -> Swarm:
         best_positions=positions.copy(),
         best_fitness=current_fitness.copy(),
         current_fitness=current_fitness.copy(),
-        global_best_position=positions[best].copy(),
-        global_best_fitness=float(current_fitness[best]),
+        global_best_position=positions[best : best + 1].copy(),
+        global_best_fitness=[float(current_fitness[best])],
     )
 
 

@@ -62,8 +62,8 @@ def start_swarm(spec, vmax, n, rng):
         best_positions=best_positions,
         best_fitness=best_fitness,
         current_fitness=current_fitness,
-        global_best_position=best_positions[best].copy(),
-        global_best_fitness=float(best_fitness[best]),
+        global_best_position=best_positions[best : best + 1].copy(),
+        global_best_fitness=[float(best_fitness[best])],
     )
 
 
@@ -85,7 +85,7 @@ def test_operators_keep_the_box_and_the_speed_cap(problem, n, names, omega, sigm
         if name == "initialize_swarm":
             swarm = initialize_swarm(spec, n, rng, vmax, counter)
         elif name == "spawn_artificial_swarm":
-            incumbent = (swarm.global_best_position, swarm.global_best_fitness)
+            incumbent = swarm.best
             swarm = spawn_artificial_swarm(*incumbent, n, spec, rng, counter, vmax)
         elif name == "pso_step":
             subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))

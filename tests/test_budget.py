@@ -37,7 +37,7 @@ def _operation(name: str, swarm, spec, vmax, data):
         return size, lambda rng, counter: initialize_swarm(spec, size, rng, vmax, counter)
     if name == "spawn_artificial_swarm":
         size = data.draw(st.integers(1, 12), label="size")
-        seed = (swarm.global_best_position, swarm.global_best_fitness)
+        seed = swarm.best
         return size, lambda rng, counter: spawn_artificial_swarm(*seed, size, spec, rng, counter, vmax)
     if name == "pso_step":
         subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))

@@ -284,23 +284,67 @@ class TestSwarmFresh:
 
     def test_particle_tying_the_incumbent_does_not_replace_it(self):
         _, swarm = self.fresh([3.0, 1.0, 2.0], incumbent=(np.array([9.0, 9.0]), 1.0))
-        assert np.array_equal(swarm.global_best_position, [9.0, 9.0])
-        assert swarm.global_best_fitness == 1.0
+        assert np.array_equal(swarm.global_best_position, [[9.0, 9.0]])
+        assert swarm.global_best_fitness == [1.0]
 
     def test_first_of_two_tied_new_bests_wins(self):
         for incumbent in (None, (np.array([9.0, 9.0]), 5.0)):
             _, swarm = self.fresh([2.0, 1.0, 1.0], incumbent)
-            assert np.array_equal(swarm.global_best_position, [2.0, 3.0])
-            assert swarm.global_best_fitness == 1.0
+            assert np.array_equal(swarm.global_best_position, [[2.0, 3.0]])
+            assert swarm.global_best_fitness == [1.0]
 
     def test_global_best_position_is_a_copy(self):
         positions, swarm = self.fresh([2.0, 1.0, 3.0])
         positions[1] = swarm.best_positions[1] = -7.0
-        assert np.array_equal(swarm.global_best_position, [2.0, 3.0])
+        assert np.array_equal(swarm.global_best_position, [[2.0, 3.0]])
         incumbent = np.array([9.0, 9.0])
         _, swarm = self.fresh([2.0, 1.0, 3.0], incumbent=(incumbent, 0.5))
         incumbent[:] = -7.0
-        assert np.array_equal(swarm.global_best_position, [9.0, 9.0])
+        assert np.array_equal(swarm.global_best_position, [[9.0, 9.0]])
+
+
+class TestSwarmGroups:
+    def rastrigin_swarms(self, *sizes):
+        spec = make_spec("rastrigin", 3)
+        return [initialize_swarm(spec, n, RngStream(n), 0.01 * spec.bounds.span, EvalCounter(budget=n)) for n in sizes]
+
+    def test_stack_rejects_unequal_sizes(self):
+        # stacked, 5 and 3 rows would read as two groups of 4
+        with pytest.raises(ValueError, match=r"equal sizes, got group sizes \[5, 3\]"):
+            Swarm.stack(self.rastrigin_swarms(5, 3))
+
+    def test_stack_rejects_unequal_groups_of_equal_swarms(self):
+        # 6 rows as one group and 6 rows as three groups of 2: 12 rows, four groups of 3
+        one, other = self.rastrigin_swarms(6, 2, 2, 2)[0], Swarm.stack(self.rastrigin_swarms(2, 2, 2))
+        with pytest.raises(ValueError, match=r"got group sizes \[6, 2\]"):
+            Swarm.stack([one, other])
+
+    def test_stack_joins_groups_in_order(self):
+        first, second = Swarm.stack(self.rastrigin_swarms(4, 4)), self.rastrigin_swarms(4)[0]
+        stacked = Swarm.stack([first, second])
+        assert stacked.global_best_fitness == first.global_best_fitness + second.global_best_fitness
+        assert np.array_equal(stacked.global_best_position, np.vstack([first.global_best_position, second.global_best_position]))
+        assert stacked.work.size == 4 and stacked.work.group_targets.shape == (4, 3, 3)
+
+    @staticmethod
+    def build(global_best_position, global_best_fitness, n=6, d=3):
+        x = np.zeros((n, d))
+        return Swarm(x, x.copy(), x.copy(), np.zeros(n), np.zeros(n), global_best_position, global_best_fitness)
+
+    @pytest.mark.parametrize("k", [0, 4, 12])
+    def test_constructor_rejects_fitness_that_does_not_group_the_rows(self, k):
+        with pytest.raises(ValueError, match=f"must hold k >= 1 group bests, k dividing the 6 rows; got k = {k}"):
+            self.build(np.zeros((k, 3)), [0.0] * k)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 2), (2, 1, 3), (6, 3)])
+    def test_constructor_rejects_a_best_block_that_is_not_k_by_d(self, shape):
+        with pytest.raises(ValueError, match=r"global_best_position must be a \(2, 3\) block"):
+            self.build(np.zeros(shape), [0.0, 0.0])
+
+    def test_one_group_is_a_one_row_block(self):
+        swarm = self.build(np.ones((1, 3)), [0.0])
+        assert swarm.work.size == 6 and swarm.best[1] == 0.0
+        assert np.array_equal(swarm.best[0], np.ones(3))
 
 
 class TestRngStream:
@@ -374,9 +418,9 @@ class TestInitializeSwarm:
         swarm = initialize_swarm(spec, 8, RngStream(3), 0.01 * spec.bounds.span, counter)
         assert np.array_equal(swarm.best_positions, swarm.positions)
         assert np.array_equal(swarm.best_fitness, swarm.current_fitness)
-        assert swarm.global_best_fitness == swarm.best_fitness.min()
+        assert swarm.global_best_fitness == [swarm.best_fitness.min()]
         i = int(np.argmin(swarm.best_fitness))
-        assert np.array_equal(swarm.global_best_position, swarm.positions[i])
+        assert np.array_equal(swarm.global_best_position, swarm.positions[i : i + 1])
 
     def test_reevaluation_consistency(self):
         spec = make_spec("ackley", 6)

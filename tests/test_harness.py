@@ -130,6 +130,31 @@ class TestCampaign:
         assert records_s == records_p
         assert cells_s == cells_p
 
+    @pytest.mark.parametrize("algorithm, runs, workers", [("ampso", 3, [3]), ("gpso", 3, []), ("gpso", 1, [])])
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch, algorithm, runs, workers):
+        # a pool starts all its workers at the first task, so 500 jobs for
+        # fewer tasks would start processes that never work
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks, chunksize=1):
+                return map(function, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        grid = dict(algorithms=(algorithm,), functions=("sphere",), dimensions=(2,), runs=runs, config=TINY)
+        records, cells = run_campaign(CampaignSpec(**grid, jobs=500))
+        assert started == workers
+        assert (records, cells) == run_campaign(CampaignSpec(**grid, jobs=1))
+
     def test_failed_cell_writes_strict_json(self, tmp_path, monkeypatch):
         def crash(config, spec, seed=None):
             raise RuntimeError("objective blew up")

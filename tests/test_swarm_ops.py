@@ -56,8 +56,8 @@ class TestPsoStep:
         swarm.velocities[0, 0] = 1.0
         swarm.best_positions[0, 0] = 2.0
         swarm.best_fitness[0] = 4.0
-        swarm.global_best_position = np.array([4.0])
-        swarm.global_best_fitness = 16.0
+        swarm.global_best_position = np.array([[4.0]])
+        swarm.global_best_fitness = [16.0]
         counter = EvalCounter(budget=10)
         pso_step(swarm, params_for(spec), spec, StubRng(uniform_value=0.5), counter)
         assert swarm.velocities[0, 0] == pytest.approx(2.0, abs=1e-12)
@@ -96,7 +96,7 @@ class TestPsoStep:
         pso_step(swarm, params_for(spec, omega=0.0), spec, RngStream(2), counter)
         assert np.all(swarm.best_fitness <= swarm.current_fitness)
         assert np.array_equal(evaluate_batch(spec, swarm.best_positions, EvalCounter(budget=2)), swarm.best_fitness)
-        assert swarm.global_best_fitness == swarm.best_fitness.min()
+        assert swarm.global_best_fitness == [swarm.best_fitness.min()]
 
     def test_budget_exhaustion_mid_step(self):
         spec = sphere_spec(3)
@@ -147,8 +147,8 @@ class TestSpawnArtificialSwarm:
         swarm = spawn_artificial_swarm(
             np.zeros(2), 0.0, 10, spec, RngStream(5), counter, 0.01 * spec.bounds.span
         )
-        assert swarm.global_best_fitness == 0.0
-        assert np.array_equal(swarm.global_best_position, np.zeros(2))
+        assert swarm.global_best_fitness == [0.0]
+        assert np.array_equal(swarm.global_best_position, np.zeros((1, 2)))
 
     def test_spawned_particle_can_beat_seed(self):
         spec = sphere_spec(2)
@@ -156,8 +156,8 @@ class TestSpawnArtificialSwarm:
         swarm = spawn_artificial_swarm(
             np.full(2, 10.0), 200.0, 10, spec, RngStream(6), counter, 0.01 * spec.bounds.span
         )
-        assert swarm.global_best_fitness == swarm.best_fitness.min()
-        assert swarm.global_best_fitness < 200.0
+        assert swarm.global_best_fitness == [swarm.best_fitness.min()]
+        assert swarm.best[1] < 200.0
 
     def test_gaussian_offset_statistics(self):
         spec = sphere_spec(10)
@@ -192,8 +192,8 @@ class TestPartialReconstruct:
     def test_single_dimension_moved_by_scaled_draw(self):
         spec = sphere_spec(3)
         swarm = build_swarm(np.zeros((3, 3)), current_fitness=np.array([0.0, 1.0, 2.0]))
-        swarm.global_best_position = np.array([50.0, 50.0, 50.0])
-        swarm.global_best_fitness = 7500.0
+        swarm.global_best_position = np.array([[50.0, 50.0, 50.0]])
+        swarm.global_best_fitness = [7500.0]
         counter = EvalCounter(budget=10)
         stub = StubRng(normal_value=0.1, integer_value=1)
         partial_reconstruct(swarm, 1, 1.0, spec, stub, counter)
@@ -227,9 +227,9 @@ class TestPartialReconstruct:
         spec = sphere_spec(3)
         rng = RngStream(10)
         swarm = initialize_swarm(spec, 8, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
-        best_before = swarm.global_best_fitness
+        best_before = swarm.best[1]
         partial_reconstruct(swarm, 4, 0.2, spec, rng, EvalCounter(budget=100))
-        assert swarm.global_best_fitness <= best_before
+        assert swarm.best[1] <= best_before
 
     def test_rejects_oversized_request(self):
         spec = sphere_spec(2)
@@ -243,7 +243,7 @@ class TestFullReconstruct:
         spec = sphere_spec(3)
         rng = RngStream(11)
         swarm = initialize_swarm(spec, 6, rng, 0.01 * spec.bounds.span, EvalCounter(budget=100))
-        best = swarm.global_best_position.copy()
+        best = swarm.best[0].copy()
         full_reconstruct(swarm, 1e-300, spec, StubRng(normal_value=0.0), EvalCounter(budget=10))
         assert np.allclose(swarm.positions, best)
         assert np.all(swarm.velocities == 0.0)
@@ -252,14 +252,14 @@ class TestFullReconstruct:
         spec = sphere_spec(4)
         rng = RngStream(12)
         swarm = initialize_swarm(spec, 10, rng, 0.01 * spec.bounds.span, EvalCounter(budget=200))
-        best_before = swarm.global_best_fitness
+        best_before = swarm.best[1]
         full_reconstruct(swarm, 0.2, spec, rng, EvalCounter(budget=200))
-        assert swarm.global_best_fitness <= best_before
+        assert swarm.best[1] <= best_before
 
     def test_spread_statistics(self):
         spec = sphere_spec(10)
         swarm = build_swarm(np.zeros((10_000, 10)), current_fitness=np.zeros(10_000))
-        swarm.global_best_position = np.zeros(10)
+        swarm.global_best_position = np.zeros((1, 10))
         full_reconstruct(swarm, 0.2, spec, RngStream(13), EvalCounter(budget=10_000))
         assert swarm.positions.std() == pytest.approx(0.2 * 200.0, rel=0.05)
 
@@ -289,7 +289,7 @@ class TestOperatorInvariants:
         counter = EvalCounter(budget=100_000)
         vmax = 0.01 * spec.bounds.span
         swarm = initialize_swarm(spec, 12, rng, vmax, counter)
-        best = swarm.global_best_fitness
+        best = swarm.best[1]
         for round_index in range(100):
             action = round_index % 4
             if action == 0:
@@ -299,17 +299,9 @@ class TestOperatorInvariants:
             elif action == 2:
                 full_reconstruct(swarm, 0.15, spec, rng, counter)
             else:
-                swarm = spawn_artificial_swarm(
-                    swarm.global_best_position,
-                    swarm.global_best_fitness,
-                    12,
-                    spec,
-                    rng,
-                    counter,
-                    vmax,
-                )
-            assert swarm.global_best_fitness <= best + 1e-15
-            best = swarm.global_best_fitness
+                swarm = spawn_artificial_swarm(*swarm.best, 12, spec, rng, counter, vmax)
+            assert swarm.best[1] <= best + 1e-15
+            best = swarm.best[1]
             assert np.all(swarm.positions >= spec.bounds.lower)
             assert np.all(swarm.positions <= spec.bounds.upper)
 
@@ -423,7 +415,7 @@ class TestSwarmWorkspace:
         pso_step(swarm, params, spec, RngStream(7), EvalCounter(budget=40))  # binds the current bests
         moved = np.random.default_rng(3).uniform(-5.0, 5.0, (21, 10))
         swarm.best_positions[::2] = moved[:20]
-        swarm.global_best_position = moved[20]
+        swarm.global_best_position = moved[20:]
         v, x = textbook_update(swarm, params, spec, RngStream(9))
         pso_step(swarm, params, spec, RngStream(9), EvalCounter(budget=40))
         assert np.array_equal(swarm.velocities, v)
@@ -487,6 +479,8 @@ class TestStackedSwarm:
                 subs[g].current_fitness[:] = stacked.current_fitness[g * s : (g + 1) * s] = fitness
             readings = [hybrid_diversity(sub, spec.bounds, bins) for sub in subs]
             grouped = hybrid_diversity(stacked, spec.bounds, bins)
+            if k == 1:  # a swarm of one group reads as floats
+                grouped = type(grouped)(*([value] for value in grouped[:3]), grouped.per_dimension[None])
             for g, reading in enumerate(readings):
                 for field in ("position_entropy", "fitness_entropy", "hybrid"):
                     assert same_bits(getattr(grouped, field)[g], getattr(reading, field)), field
@@ -500,11 +494,11 @@ class TestStackedSwarm:
             for g, sub in enumerate(subs):
                 for name in ("positions", "velocities", "best_positions", "best_fitness", "current_fitness"):
                     assert same_bits(getattr(stacked, name)[g * s : (g + 1) * s], getattr(sub, name)), name
-                assert same_bits(stacked.global_best_position[g, 0], sub.global_best_position)
-                assert same_bits(stacked.global_best_fitness[g], sub.global_best_fitness)
-        best = min(range(k), key=lambda g: subs[g].global_best_fitness)
-        assert same_bits(stacked.best[0], subs[best].global_best_position)
-        assert stacked.best[1] == subs[best].global_best_fitness
+                assert same_bits(stacked.global_best_position[g], sub.best[0])
+                assert same_bits(stacked.global_best_fitness[g], sub.best[1])
+        best = min(range(k), key=lambda g: subs[g].best[1])
+        assert same_bits(stacked.best[0], subs[best].best[0])
+        assert stacked.best[1] == subs[best].best[1]
         assert counters[0].used == counters[1].used
         assert same_bits(rngs[0].uniform(size=5), rngs[1].uniform(size=5))
 
@@ -516,7 +510,7 @@ class TestStackedSwarm:
         subs = [build_swarm([[-50.0], [-49.0]], [0.0, 1.0]), build_swarm([[50.0], [51.0]], [1.0, 0.0])]
         stacked = Swarm.stack(subs)
         assert stacked.global_best_fitness == [0.0, 0.0]
-        assert same_bits(stacked.global_best_position, [[[-50.0]], [[51.0]]])
+        assert same_bits(stacked.global_best_position, [[-50.0], [51.0]])
         assert same_bits(stacked.best[0], [-50.0])  # a tie goes to the first group, as offering each in turn would
         pso_step(stacked, params_for(spec, omega=0.0), spec, StubRng(0.5), EvalCounter(budget=4))
         assert stacked.velocities[1, 0] < 0 < stacked.velocities[2, 0]
@@ -602,7 +596,7 @@ def reference_partial_reconstruct(swarm, n_worst, sigma, spec, rng, counter):
     dims = rng.integers(swarm.dimension, size=n_worst)
     r = rng.normal(0.0, sigma, size=n_worst)
     positions = np.empty((n_worst, swarm.dimension))
-    positions[:] = swarm.global_best_position
+    positions[:] = swarm.best[0]
     positions[np.arange(n_worst), dims] += spec.bounds.span[dims] * r
     positions.clip(spec.bounds.lower, spec.bounds.upper, out=positions)
     reference_install(swarm, idx, positions, spec, counter)
@@ -613,7 +607,7 @@ def reference_full_reconstruct(swarm, sigma, spec, rng, counter):
     counter.require(swarm.size)
     positions = rng.normal(0.0, sigma, size=(swarm.size, swarm.dimension))
     positions *= spec.bounds.span
-    positions += swarm.global_best_position
+    positions += swarm.best[0]
     positions.clip(spec.bounds.lower, spec.bounds.upper, out=positions)
     reference_install(swarm, slice(None), positions, spec, counter)
 
@@ -645,7 +639,7 @@ class TestReconstructPaths:
         best = np.array([picks[data.draw(st.sampled_from(ON_EDGE), label="best")][j] for j in range(d)])
         draws = np.random.default_rng(seed)
         base = build_swarm(draws.uniform(lower, upper, (n, d)), draws.integers(0, 4, n).astype(float))  # ties
-        base.global_best_position, base.global_best_fitness = best, -1.0
+        base.global_best_position, base.global_best_fitness = best[None], [-1.0]
         ours, theirs = copy.deepcopy(base), copy.deepcopy(base)
         rngs, counters = (RngStream(seed), RngStream(seed)), (EvalCounter(3 * n), EvalCounter(3 * n))
         for bound, reference in (
@@ -673,7 +667,7 @@ class TestReconstructPaths:
         wide = ObjectiveSpec(Bounds.cube(-5.12, 5.12, 4), lambda x: np.sum((x - 5.0) ** 2, axis=-1))
         tall = ObjectiveSpec(Bounds(wide.bounds.lower, np.array([5.5, 6.0, 8.0, 9.5])), wide.function)
         swarm = initialize_swarm(wide, 12, RngStream(51), 0.01 * wide.bounds.span, EvalCounter(budget=12))
-        swarm.global_best_position, swarm.global_best_fitness = np.full(4, 5.0), 0.0
+        swarm.global_best_position, swarm.global_best_fitness = np.full((1, 4), 5.0), [0.0]
         for step in range(16):
             spec, n_worst = (wide, tall)[(step + 1) // 2 % 2], (3, 7)[step // 2 % 2]
             fresh = rebuilt(swarm)
@@ -699,3 +693,56 @@ class TestReconstructPaths:
         starts, *_, at_rest = twin.work.rebuild
         assert not np.shares_memory(starts, original.work.rebuild[0])
         assert not np.shares_memory(at_rest, original.work.rebuild[-1])
+
+
+# fitness values and incumbents drawn from a few values, signed zeros
+# included, so rows tie with each other and with their group's incumbent
+TIES = [-1.0, -0.0, 0.0, 1.0, 2.0]
+
+
+class TestOneRefreshPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 33),
+        s=st.integers(1, 6),
+        d=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refresh_equals_a_group_by_group_reference(self, k, s, d, data, seed):
+        n = k * s
+        fitness = np.array(data.draw(st.lists(st.sampled_from(TIES), min_size=n, max_size=n), label="fitness"))
+        incumbents = data.draw(st.lists(st.sampled_from(TIES), min_size=k, max_size=k), label="incumbents")
+        spec = make_spec("rastrigin", d)
+        draws = np.random.default_rng(seed)
+        positions, best_positions, incumbent_rows = (draws.uniform(-5.12, 5.12, (m, d)) for m in (n, n, k))
+        swarm = Swarm(positions, np.zeros((n, d)), best_positions, fitness, fitness.copy(), incumbent_rows, incumbents)
+        twin = copy.deepcopy(swarm)
+        block, listed = swarm.global_best_position, swarm.global_best_fitness
+        swarm.refresh_global_best()
+
+        expected_rows, expected = incumbent_rows.copy(), list(incumbents)
+        for g in range(k):
+            i = min(range(g * s, (g + 1) * s), key=lambda row: fitness[row])  # the group's first minimum
+            if fitness[i] < incumbents[g]:
+                expected_rows[g], expected[g] = best_positions[i], fitness[i]
+        assert same_bits(swarm.global_best_position, expected_rows)
+        assert same_bits(swarm.global_best_fitness, expected)
+        first = expected.index(min(expected))
+        assert same_bits(swarm.best[0], expected_rows[first]) and same_bits(swarm.best[1], expected[first])
+        # the workspace's identity rule: a change is a new block and list, the old ones untouched
+        unchanged = expected == incumbents
+        assert (swarm.global_best_position is block) == unchanged
+        assert (swarm.global_best_fitness is listed) == unchanged
+        assert same_bits(block, incumbent_rows) and same_bits(listed, incumbents)
+
+        # a stack of the one swarm steps and reads as the swarm, field for field
+        stacked = Swarm.stack([copy.deepcopy(twin)])
+        rngs, counters = (RngStream(seed), RngStream(seed)), (EvalCounter(n), EvalCounter(n))
+        for one, rng, counter in zip((twin, stacked), rngs, counters):
+            pso_step(one, params_for(spec, omega=0.7), spec, rng, counter)
+        assert repr(hybrid_diversity(twin, spec.bounds, 7)) == repr(hybrid_diversity(stacked, spec.bounds, 7))
+        for name in STATE:
+            assert same_bits(getattr(twin, name), getattr(stacked, name)), name
+        assert same_bits(twin.global_best_fitness, stacked.global_best_fitness)
+        assert same_bits(rngs[0].uniform(size=3), rngs[1].uniform(size=3))
