@@ -315,7 +315,7 @@ class TestSwarmGroups:
 
     def test_stack_rejects_unequal_groups_of_equal_swarms(self):
         # 6 rows as one group and 6 rows as three groups of 2: 12 rows, four groups of 3
-        one, other = self.rastrigin_swarms(6, 2, 2, 2)[0], Swarm.stack(self.rastrigin_swarms(2, 2, 2))
+        one, other = self.rastrigin_swarms(6)[0], Swarm.stack(self.rastrigin_swarms(2, 2, 2))
         with pytest.raises(ValueError, match=r"got group sizes \[6, 2\]"):
             Swarm.stack([one, other])
 
