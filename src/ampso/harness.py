@@ -20,7 +20,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -221,6 +220,10 @@ def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResu
     tasks = campaign.tasks()
     workers = min(campaign.jobs, len(tasks))
     if workers > 1:
+        # imported here, not at module level: the pool's modules would cost
+        # every single-run process memory and import time for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_or_flag, tasks, chunksize=1))
     else:
@@ -243,17 +246,23 @@ def run_campaign(campaign: CampaignSpec) -> tuple[list[RunRecord], list[CellResu
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it.
 
-    A missing directory is a ``FileNotFoundError`` that names ``path``,
-    the path the caller gave, not the temporary file.
+    A failure leaves no temporary file behind, and an ``OSError`` names
+    ``path``, the path the caller gave, not the temporary file: a missing
+    directory, or a ``path`` that is a directory.
     """
     tmp = path + ".tmp"
+    created = False
     try:
-        handle = open(tmp, "w", newline="")
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
-    with handle:
-        handle.write(text)
-    os.replace(tmp, path)
+        with open(tmp, "w", newline="") as handle:
+            created = True
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if created:
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _csv_text(header, rows) -> str:

@@ -290,6 +290,18 @@ class TestTraceCommand:
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
 
+    def test_directory_as_output_names_the_given_path(self, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        args = ["run", "--algo", "gpso", "--function", "sphere", "--dim", "2", "--fe-budget", "200"]
+        code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 1
+        assert not stdout
+        assert err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert not any(out.iterdir())
+
 
 class TestBenchCommand:
     def test_single_run_statistics_degenerate(self, tmp_path, capsys):

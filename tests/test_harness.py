@@ -1,7 +1,11 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,11 +153,34 @@ class TestCampaign:
             def map(self, function, tasks, chunksize=1):
                 return map(function, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         grid = dict(algorithms=(algorithm,), functions=("sphere",), dimensions=(2,), runs=runs, config=TINY)
         records, cells = run_campaign(CampaignSpec(**grid, jobs=500))
         assert started == workers
         assert (records, cells) == run_campaign(CampaignSpec(**grid, jobs=1))
+
+    def test_single_runs_load_no_pool(self):
+        # a fresh interpreter: this one has loaded the pool already
+        script = """
+import os, sys, tempfile
+import ampso, ampso.cli
+from ampso import AmpsoConfig, CampaignSpec, make_spec, run_campaign, run_gpso, write_trace_csv
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing"))
+
+config = AmpsoConfig(fe_budget=2000)
+with tempfile.TemporaryDirectory() as out:
+    write_trace_csv(os.path.join(out, "trace.csv"), run_gpso(config, make_spec("sphere", 2), seed=0))
+assert not pool_modules(), pool_modules()
+grid = dict(algorithms=("ampso",), functions=("sphere",), dimensions=(2,), runs=2, config=config)
+assert run_campaign(CampaignSpec(**grid, jobs=2)) == run_campaign(CampaignSpec(**grid, jobs=1))
+assert "concurrent.futures.process" in sys.modules, pool_modules()
+"""
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_failed_cell_writes_strict_json(self, tmp_path, monkeypatch):
         def crash(config, spec, seed=None):
