@@ -45,15 +45,13 @@ class Bounds:
     Two boxes compare equal only when they are the same object, which is
     how the swarm workspaces key the operands they bind from a box.
 
-    ``lower``, ``upper`` and ``span`` are read-only copies, so the row
-    blocks :meth:`rows` and :meth:`grid_scale` build from them once stay
-    valid for the life of the box.
+    ``lower``, ``upper`` and ``span`` are read-only copies, so operands
+    built from a box once stay valid for the life of the box.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     span: np.ndarray = field(init=False, repr=False, compare=False)
-    _blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         lower = np.array(self.lower, dtype=float, ndmin=1)
@@ -81,43 +79,6 @@ class Bounds:
     def dimension(self) -> int:
         return self.lower.size
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``lower`` and ``upper`` repeated over ``n`` rows, built once per n.
-
-        A ufunc that meets a same-shape (n, D) operand skips the broadcast
-        set-up it pays for a (D,) row on every call.
-        """
-        block = self._blocks.get(n)
-        if block is None:
-            block = self._blocks[n] = (_repeat_rows(self.lower, n), _repeat_rows(self.upper, n))
-        return block
-
-    def grid_scale(self, n: int, bins: int) -> np.ndarray:
-        """``bins / span`` repeated over ``n`` rows, built once per (n, bins).
-
-        ``(x - lower) * grid_scale`` maps a point of the box onto a grid of
-        ``bins`` equal cells per dimension.  A box too narrow for that
-        grid, one whose ``bins / span`` lies past the float range, is a
-        ``ValueError``.
-        """
-        block = self._blocks.get((n, bins))
-        if block is None:
-            with np.errstate(over="ignore"):
-                scale = bins / self.span
-            if not np.all(np.isfinite(scale)):
-                raise ValueError(
-                    f"every span must be wide enough for {bins} bins: bins / span lies past the float range"
-                )
-            block = self._blocks[n, bins] = _repeat_rows(scale, n)
-        return block
-
-
-def _repeat_rows(vector: np.ndarray, n: int) -> np.ndarray:
-    """Read-only, C-contiguous (n, D) block whose every row is ``vector``."""
-    block = np.tile(vector, (n, 1))
-    block.setflags(write=False)
-    return block
-
 
 class Workspace:
     """The layout of one swarm, and the operands its operators bind to it.
@@ -130,12 +91,14 @@ class Workspace:
     (``group_targets`` is its (s, k, D) view, row i of every group).
     ``best_groups`` pairs each group's view of ``best_fitness`` with its
     view of ``best_positions``: the swarm writes into both arrays and never
-    rebinds them.  Each operator owns its scratch:
-    :func:`~ampso.swarm_ops.pso_step` binds its operands and scratch in
-    ``step``, :func:`~ampso.swarm_ops.partial_reconstruct` its own in
-    ``rebuild`` and :func:`~ampso.diversity.hybrid_diversity` its own in
-    ``reading``, on the first call that meets a given box; after that each
-    checks its key by identity only.
+    rebinds them.  The workspace is the one home of the operands an
+    operator builds from a box, and each operator owns its operands and
+    scratch: :func:`~ampso.swarm_ops.pso_step` binds its own in ``step``,
+    :func:`~ampso.swarm_ops.partial_reconstruct` in ``rebuild`` and
+    :func:`~ampso.diversity.hybrid_diversity` in ``reading``, on the first
+    call that meets a given box; after that each checks its key by
+    identity only.  So the same-shape (n, D) row blocks of a box die with
+    the swarm.
     """
 
     def __init__(self, swarm: "Swarm"):
@@ -262,8 +225,8 @@ class ObjectiveSpec:
 
     The effective objective is ``f(rotation @ (x - shift))``.  ``function``
     must reduce over the last axis so batches of positions evaluate in one
-    call.  ``optimum_value`` is the known minimum used for error reporting.
-    The dimension is the box's.
+    call.  ``optimum_value`` is the known minimum used for error reporting,
+    a finite real number.  The dimension is the box's.
     """
 
     bounds: Bounds
@@ -275,6 +238,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not callable(self.function):
             raise ValueError("an objective callable is required")
+        value = self.optimum_value
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"optimum_value must be a finite real number, got {value!r}")
         if self.shift is not None:
             self.shift = np.asarray(self.shift, dtype=float)
             if self.shift.shape != (self.dimension,):

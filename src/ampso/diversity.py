@@ -80,6 +80,20 @@ def histogram_entropy(values, value_range: tuple[float, float], bins: int) -> fl
     return float(-terms.sum() / np.log(bins))
 
 
+def grid_scale(bounds: Bounds, bins: int) -> np.ndarray:
+    """The cell scale ``bins / span`` of a grid of ``bins`` equal cells per box dimension.
+
+    ``(x - lower) * grid_scale(bounds, bins)`` maps a point of the box
+    onto the grid.  A box too narrow for the grid, one whose ``bins /
+    span`` lies past the float range, is a ``ValueError``.
+    """
+    with np.errstate(over="ignore"):
+        scale = bins / bounds.span
+    if not np.all(np.isfinite(scale)):
+        raise ValueError(f"every span must be wide enough for {bins} bins: bins / span lies past the float range")
+    return scale
+
+
 def _bind(swarm: Swarm, bounds: Bounds, bins: int) -> tuple:
     """The operands and scratch :func:`hybrid_diversity` binds for ``swarm`` over ``bounds`` in ``bins`` cells.
 
@@ -107,7 +121,7 @@ def _bind(swarm: Swarm, bounds: Bounds, bins: int) -> tuple:
     scratch = block, block[: n * d].reshape(n, d), fitness_groups, np.empty(block.shape, np.intp)
     shape = (d + 1, bins) if k == 1 else (k, d + 1, bins)  # one group reads as floats
     constants = plogp, offsets, first, last, -np.log(bins), k * (d + 1) * bins, shape
-    return bounds.rows(n)[0], bounds.grid_scale(n, bins), *scratch, *constants
+    return np.tile(bounds.lower, (n, 1)), np.tile(grid_scale(bounds, bins), (n, 1)), *scratch, *constants
 
 
 def hybrid_diversity(swarm: Swarm, bounds: Bounds, bins: int) -> DiversityReading:

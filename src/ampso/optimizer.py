@@ -16,6 +16,7 @@ swarm under the same budget, trace and result contract, and
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -33,7 +34,7 @@ from .adaptation import (
     sigma_reconstruction,
 )
 from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_integer
-from .diversity import hybrid_diversity
+from .diversity import grid_scale, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
 __all__ = [
@@ -200,9 +201,10 @@ class _Run:
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
     run; the trace logs it with the phase that is open.  ``speed`` is the
-    velocity box [-vmax, vmax].  ``spec`` is a copy of the problem with a
-    box of its own: both boxes keep the operand blocks the operators build
-    from them (:meth:`Bounds.rows`), and those die with the run.
+    velocity box [-vmax, vmax].  ``spec`` is a shallow copy of the
+    caller's problem, checked again: it shares the caller's box, and a
+    ``function`` or ``transform`` set on the caller's instance is what the
+    run evaluates through.
     """
 
     def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None, algorithm: str):
@@ -210,12 +212,13 @@ class _Run:
             config = config.with_overrides(seed=seed)
         config.validate()
         self.config = config
-        # built through the constructor, so fields reassigned since the spec was checked are checked again
-        self.spec = replace(spec, bounds=Bounds(spec.bounds.lower, spec.bounds.upper))
+        # fields reassigned since the spec was checked are checked again, on a copy
+        self.spec = copy.copy(spec)
+        self.spec.__post_init__()
         self.rng = RngStream(config.seed)
         self.counter = EvalCounter(budget=config.resolved_budget(spec.dimension, algorithm))
         self.total_iterations = self.counter.budget // config.convergence_size
-        self.spec.bounds.grid_scale(1, config.entropy_bins)  # a box too narrow for the grid fails here, unspent
+        grid_scale(spec.bounds, config.entropy_bins)  # a box too narrow for the grid fails here, unspent
         vmax = config.vmax_factor * spec.bounds.span
         self.speed = Bounds(-vmax, vmax)
         self.best_position: np.ndarray | None = None

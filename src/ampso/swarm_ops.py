@@ -46,7 +46,7 @@ class KinematicParams(NamedTuple):
 
     ``omega`` is one inertia, or an (n, 1) column of one per row.
     ``speed`` is the velocity box [-vmax, vmax]; as a :class:`Bounds` it
-    keeps the row blocks the clip uses from one step to the next.
+    keys, by identity, the row blocks :func:`pso_step` binds from it.
     """
 
     omega: float | np.ndarray
@@ -98,7 +98,7 @@ def pso_step(
         attractors = np.empty((2, n, d))
         # a (k, 2, s, D) view of the (2, n, D) attractors: group g's r1 and r2 meet its own rows
         grouped = attractors.reshape(2, n // s, s, d).swapaxes(0, 1)
-        rows = (*spec.bounds.rows(n), *params.speed.rows(n))
+        rows = [np.tile(v, (n, 1)) for v in (spec.bounds.lower, spec.bounds.upper, params.speed.lower, params.speed.upper)]
         improved = np.empty(swarm.size, bool)
         work.step_key = key
         work.step = (shape, coefficients, attractors, grouped, *attractors, *rows, improved, improved[:, None])
@@ -164,12 +164,12 @@ def spawn_artificial_swarm(
 
 def _cloud(center: np.ndarray, sigma: float, n: int, spec: ObjectiveSpec, rng: RngStream) -> np.ndarray:
     """``n`` points at center + span * g, g ~ N(0, sigma^2) per dimension, clipped to the box."""
-    lower, upper = spec.bounds.rows(n)
+    bounds = spec.bounds
     positions = rng.normal(0.0, sigma, size=(n, spec.dimension))
-    positions *= spec.bounds.span
+    positions *= bounds.span
     positions += center
-    np.maximum(positions, lower, out=positions)  # np.clip bit for bit, as in pso_step
-    np.minimum(positions, upper, out=positions)
+    np.maximum(positions, bounds.lower, out=positions)  # np.clip bit for bit, as in pso_step
+    np.minimum(positions, bounds.upper, out=positions)
     return positions
 
 
@@ -230,7 +230,7 @@ def partial_reconstruct(
         at_rest = np.zeros((n_worst, d))
         at_rest.setflags(write=False)
         work.rebuild_key = key
-        work.rebuild = (np.arange(n_worst) * d, *bounds.rows(n_worst), at_rest)
+        work.rebuild = (np.arange(n_worst) * d, np.tile(bounds.lower, (n_worst, 1)), np.tile(bounds.upper, (n_worst, 1)), at_rest)
     starts, lower, upper, at_rest = work.rebuild
     positions = np.empty((n_worst, d))
     positions[:] = best

@@ -119,6 +119,7 @@ def test_traced_runs_every_workload(tool, tmp_path, monkeypatch):
     def bench(tree, workload, seed, trace):
         calls.append((tree, workload, seed, trace))
         values = {"us_per_fe": 1.0, "swarm_ops.pso_step.calls": len(calls), "optimizer.us_per_iteration": 2.0}
+        values |= {"core.transform.us_per_call": 3.0, "core.transform.share": 0.125, "cli.import_s": 0.05}
         return {"failed": 0, "correct": True, "values": values}
 
     monkeypatch.setattr(tool, "ROOT", str(tmp_path))
@@ -139,5 +140,8 @@ def test_traced_runs_every_workload(tool, tmp_path, monkeypatch):
         assert entry["command"] == f"python3 perfbench/run.py --workload {workload} --seed 0 --trace 1"
         assert [run["side"] for run in entry["runs"]] == ["parent", "change", "change", "parent"]
         assert all(run["correct"] and run["optimizer.us_per_iteration"] == 2.0 for run in entry["runs"])
+        # the rotation's cost and the import time reach the record
+        for run in entry["runs"]:
+            assert (run["core.transform.us_per_call"], run["core.transform.share"], run["cli.import_s"]) == (3.0, 0.125, 0.05)
         assert all(set(run["counts"]) == {"swarm_ops.pso_step.calls"} for run in entry["runs"])
         assert [pair["seed"] for pair in record["workloads"][workload]["pairs"]] == [first_seed, first_seed + 1]

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from ampso.core import (
     initialize_swarm,
 )
 from ampso.benchmarks import REGISTRY, make_spec
+from ampso.diversity import grid_scale
 from conftest import column_sphere, scaling_sphere, sphere_with, total_sphere
 
 
@@ -51,7 +55,8 @@ class TestBounds:
     def test_grid_past_float_range_rejected(self):
         bounds = Bounds([0.0, 0.0], [1.0, 1e-310])
         with pytest.raises(ValueError, match="wide enough for 10 bins"):
-            bounds.grid_scale(4, 10)
+            grid_scale(bounds, 10)
+        assert np.array_equal(grid_scale(Bounds([-3.0, 0.0], [1.0, 2.0]), 8), [2.0, 4.0])
 
     def test_vectors_are_read_only_copies(self):
         lower, upper = np.array([0.0, -2.0]), np.array([3.0, 2.0])
@@ -62,19 +67,6 @@ class TestBounds:
         for vector in (bounds.lower, bounds.upper, bounds.span):
             with pytest.raises(ValueError):
                 vector[0] = 1.0
-
-    @pytest.mark.parametrize("n", [1, 5, 10, 30, 40])
-    def test_row_blocks_match_broadcast_rows(self, n):
-        bounds = Bounds(np.array([-3.0, 0.0, 10.0]), np.array([1.0, 2.0, 11.0]))
-        blocks = (*bounds.rows(n), bounds.grid_scale(n, 7))
-        vectors = (bounds.lower, bounds.upper, 7 / bounds.span)
-        for block, vector in zip(blocks, vectors):
-            assert block.shape == (n, 3) and block.flags.c_contiguous and not block.flags.writeable
-            assert np.array_equal(block, np.broadcast_to(vector, (n, 3)))
-        # built once per row count (and bin count), kept apart per key
-        assert bounds.rows(n)[0] is blocks[0] and bounds.grid_scale(n, 7) is blocks[2]
-        assert bounds.rows(n + 1)[0].shape == (n + 1, 3)
-        assert bounds.grid_scale(n, 8)[0, 0] == 8 / 4.0
 
 
 class TestClampToBounds:
@@ -269,6 +261,15 @@ class TestObjectiveSpec:
     def test_function_must_be_callable(self, function):
         with pytest.raises(ValueError, match="an objective callable is required"):
             ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), function)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0", None, True, False, 1j])
+    def test_optimum_must_be_a_finite_real(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"optimum_value must be a finite real number, got {bad!r}")):
+            ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=bad)
+
+    @pytest.mark.parametrize("good", [0, -450.0, 1e300, np.float64(2.5), np.int64(-3)])
+    def test_finite_real_optimum_accepted(self, good):
+        assert ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=good).optimum_value == good
 
     def test_dimension_is_the_box_dimension(self):
         box = Bounds.cube(-1.0, 1.0, 4)

@@ -435,6 +435,18 @@ def test_objective_reassigned_to_none_rejected(run):
         run(AmpsoConfig(fe_budget=100), spec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "0", None])
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_optimum_reassigned_past_the_reals_rejected_before_any_evaluation(run, bad):
+    # a NaN optimum would spend the whole budget to report best_error nan, an infinite one -inf
+    calls = []
+    spec = sphere_with(2, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
+    spec.optimum_value = bad
+    with pytest.raises(ValueError, match="^optimum_value must be a finite real number"):
+        run(AmpsoConfig(fe_budget=200), spec, seed=0)
+    assert not calls
+
+
 def test_operands_never_cross_between_boxes():
     # same dimension, different boxes: every run must match a first run on a fresh spec,
     # however often specs are dropped and rebuilt in between

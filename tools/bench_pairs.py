@@ -24,8 +24,9 @@ neither), and a verdict:
 * ``within bound``: otherwise.
 
 ``--traced`` adds per-layer runs (``--trace 1 --seed 0``) of every
-workload, in the order parent, change, change, parent, with every traced
-count, under the workload's ``traced_seed0``.
+workload, in the order parent, change, change, parent, under the
+workload's ``traced_seed0``: each run's ``TRACED_LAYERS`` values, its
+``cli.import_s`` among them, and every traced count.
 
     python3 tools/bench_pairs.py --parent HEAD --pr 12 --pairs 10 \\
         --workload paper-d10 --seeds 1201 [--workload rotated-d100 --seeds 1221 ...] [--traced]
@@ -58,9 +59,12 @@ TRACED_LAYERS = (
     "diversity.hybrid_diversity.us_per_call",
     "core.evaluate_batch.self_us_per_call",
     "benchmarks.objective.us_per_call",
+    "core.transform.us_per_call",
+    "core.transform.share",
     "swarm_ops.pso_step.share",
     "diversity.hybrid_diversity.share",
     "optimizer.us_per_iteration",
+    "cli.import_s",
 )
 COUNT_SUFFIXES = (".calls", ".rows", ".iterations", ".phase_switches")
 
