@@ -236,11 +236,12 @@ class ObjectiveSpec:
     optimum_value: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.bounds, Bounds):
+            raise ValueError(f"bounds must be a Bounds, got {type(self.bounds).__name__}")
         if not callable(self.function):
             raise ValueError("an objective callable is required")
-        value = self.optimum_value
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"optimum_value must be a finite real number, got {value!r}")
+        if not is_finite_real(self.optimum_value):
+            raise ValueError(f"optimum_value must be a finite real number, got {self.optimum_value!r}")
         if self.shift is not None:
             self.shift = np.asarray(self.shift, dtype=float)
             if self.shift.shape != (self.dimension,):
@@ -304,6 +305,11 @@ class EvalCounter:
 def is_integer(value) -> bool:
     """An integer of any integral type, numpy's included, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number of any real type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class RngStream:

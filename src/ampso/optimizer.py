@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, get_type_hints
 
@@ -33,7 +32,7 @@ from .adaptation import (
     reconstruct_probability,
     sigma_reconstruction,
 )
-from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_integer
+from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_finite_real, is_integer
 from .diversity import grid_scale, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
@@ -103,7 +102,7 @@ class AmpsoConfig:
             if hint in (int, int | None):
                 if not is_integer(value):
                     raise ConfigError(f"{name} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            elif not is_finite_real(value):
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if min(self.exploration_size, self.sub_swarm_size, self.exploitation_size, self.convergence_size) < 1:
             raise ConfigError("swarm sizes must be positive")
@@ -430,12 +429,14 @@ def _gpso(runs: list[_Run]) -> None:
     Each run builds its swarm from its own stream and counter and logs
     it; then the swarms are stacked and every iteration reads, steps and
     evaluates them together.  Run g's draws fill group g's slice of the
-    step's block from run g's stream (:class:`_Streams`), and its
-    evaluations are spent on its own counter (:class:`_Counters`), so each
-    run's record is the one it would make alone.  A single run steps its
-    own swarm with its own stream and counter.
+    step's block from run g's stream (:class:`_Streams`).  The runs share
+    one budget and spend alike, so the stacked swarm spends on one
+    counter holding k times the lead run's budget and use, and each run's
+    own counter takes its group's rows just before its row is logged:
+    each run's record is the one it would make alone.  A single run takes
+    the same loop with k = 1, stepping its own swarm with its own stream.
     """
-    lead = runs[0]
+    lead, k = runs[0], len(runs)
     config, size = lead.config, lead.config.convergence_size
     swarms = []
     for run in runs:
@@ -443,10 +444,8 @@ def _gpso(runs: list[_Run]) -> None:
         swarms.append(initialize_swarm(run.spec, size, run.rng, run.speed.upper, run.counter))
         run.cover(swarms[-1])
     histories = [FitnessHistory(window=config.rate_window) for _ in runs]
-    if len(runs) == 1:
-        swarm, rng, counter = swarms[0], lead.rng, lead.counter
-    else:
-        swarm, rng, counter = Swarm.stack(swarms), _Streams(runs), _Counters(runs)
+    swarm, rng = (swarms[0], lead.rng) if k == 1 else (Swarm.stack(swarms), _Streams(runs))
+    counter = EvalCounter(budget=k * lead.counter.budget, used=k * lead.counter.used)
     rows, iteration = swarm.size, 0
     while counter.remaining >= rows:
         iteration += 1
@@ -456,6 +455,7 @@ def _gpso(runs: list[_Run]) -> None:
         bests = zip(swarm.global_best_position, swarm.global_best_fitness)  # run g's best is group g's
         for run, history, best, diversity in zip(runs, histories, bests, diversities):
             run.iteration = iteration
+            run.counter.spend(size)
             history.record(best[1])
             run.log(best, diversity, omega, evolution_rate(history))
 
@@ -472,28 +472,3 @@ class _Streams:
         for group, stream in zip(block, self.streams):
             group[...] = stream.uniform(size=size[1:])
         return block
-
-
-class _Counters:
-    """The counters of k lockstep runs as one: n evaluations, n / k rows on
-    each run's group, are n / k on each run's counter.
-
-    ``remaining`` counts in the stacked swarm's rows, k times the least
-    any run has left.  Every counter is checked before any is spent.
-    """
-
-    def __init__(self, runs: list[_Run]):
-        self.counters = [run.counter for run in runs]
-
-    @property
-    def remaining(self) -> int:
-        return len(self.counters) * min(counter.remaining for counter in self.counters)
-
-    def require(self, n: int) -> None:
-        for counter in self.counters:
-            counter.require(n // len(self.counters))
-
-    def spend(self, n: int) -> None:
-        self.require(n)
-        for counter in self.counters:
-            counter.spend(n // len(self.counters))

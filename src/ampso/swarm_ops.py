@@ -25,6 +25,7 @@ from .core import (
     RngStream,
     Swarm,
     evaluate_batch,
+    is_finite_real,
 )
 
 __all__ = [
@@ -151,10 +152,17 @@ def spawn_artificial_swarm(
     dimension, clipped to the box; velocities start uniform in +-vmax.
     Costs ``size`` evaluations; the seed itself is not re-evaluated, and
     it remains the swarm's global best unless a spawned particle beats it.
-    Draw order: Gaussian offsets, velocities, then the evaluation.
+    Draw order: Gaussian offsets, velocities, then the evaluation.  A seed
+    that is not a finite vector of length D with a finite real fitness is
+    a ``ValueError`` naming the argument, raised before anything is spent
+    or drawn.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
+    if np.shape(seed_position) != (spec.dimension,) or not np.all(np.isfinite(seed_position)):
+        raise ValueError(f"seed_position must be a finite vector of length {spec.dimension}, got {seed_position!r}")
+    if not is_finite_real(seed_fitness):
+        raise ValueError(f"seed_fitness must be a finite real number, got {seed_fitness!r}")
     counter.require(size)
     positions = _cloud(seed_position, SPAWN_SPREAD, size, spec, rng)
     velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax

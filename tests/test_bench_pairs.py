@@ -145,3 +145,28 @@ def test_traced_runs_every_workload(tool, tmp_path, monkeypatch):
             assert (run["core.transform.us_per_call"], run["core.transform.share"], run["cli.import_s"]) == (3.0, 0.125, 0.05)
         assert all(set(run["counts"]) == {"swarm_ops.pso_step.calls"} for run in entry["runs"])
         assert [pair["seed"] for pair in record["workloads"][workload]["pairs"]] == [first_seed, first_seed + 1]
+
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, code", [(0, 0, 0), (1, 0, 0), (2, 2, 0), (0, 1, 1), (1, 2, 1)])
+def test_failed_runs_are_totalled_and_more_of_them_fail_the_run(tool, tmp_path, monkeypatch, parent_failed, change_failed, code):
+    """Each workload records both sides' failed runs; the change failing more on any one workload exits 1."""
+    (tmp_path / "BENCHMARK.json").write_text((Path(tool.ROOT) / "BENCHMARK.json").read_text())
+    failed = {"parent-tree": parent_failed, "change-tree": change_failed}
+
+    def bench(tree, workload, seed, trace):
+        # runs fail on paper-d10 only; campaign-jobs2 fails none on either side
+        return {"failed": failed[tree] if workload == "paper-d10" else 0, "correct": True, "values": {"us_per_fe": 1.0}}
+
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+    monkeypatch.setattr(tool, "git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(tool, "checkout", lambda ref, into: "parent-tree")
+    monkeypatch.setattr(tool, "copy_working_tree", lambda into: "change-tree")
+    monkeypatch.setattr(tool, "bench", bench)
+    argv = ["--parent", "HEAD", "--pr", "7", "--pairs", "3"]
+    argv += ["--workload", "paper-d10", "--seeds", "11", "--workload", "campaign-jobs2", "--seeds", "31"]
+    assert tool.main(argv) == code
+
+    workloads = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]  # written either way
+    assert workloads["paper-d10"]["failed"] == {"parent": 3 * parent_failed, "change": 3 * change_failed}
+    assert workloads["campaign-jobs2"]["failed"] == {"parent": 0, "change": 0}

@@ -275,6 +275,11 @@ class TestObjectiveSpec:
         box = Bounds.cube(-1.0, 1.0, 4)
         assert ObjectiveSpec(box, REGISTRY["sphere"].function).dimension == box.dimension == 4
 
+    @pytest.mark.parametrize("bad", [(-1.0, 1.0), np.array([-1.0, 1.0]), None])
+    def test_bounds_must_be_a_bounds(self, bad):
+        with pytest.raises(ValueError, match=f"^bounds must be a Bounds, got {type(bad).__name__}$"):
+            ObjectiveSpec(bad, REGISTRY["sphere"].function)
+
 
 class TestSwarmFresh:
     POSITIONS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])

@@ -49,6 +49,8 @@ def fields_of(result):
     budget=st.integers(40, 900),
 )
 @example(runs=LOCKSTEP_RUNS + 1, first_seed=2**64 - 40, swarm=10, budget=300)
+@example(runs=3, first_seed=0, swarm=40, budget=40)  # the first swarm spends everything
+@example(runs=3, first_seed=0, swarm=40, budget=79)  # the slack is one FE short of an iteration
 def test_a_cell_equals_its_runs_one_at_a_time(problem, runs, first_seed, swarm, budget):
     config = AmpsoConfig(convergence_size=swarm, fe_budget=budget)
     spec = PROBLEMS[problem]()

@@ -447,6 +447,17 @@ def test_optimum_reassigned_past_the_reals_rejected_before_any_evaluation(run, b
     assert not calls
 
 
+@pytest.mark.parametrize("bad", [(-1.0, 1.0), None])
+@pytest.mark.parametrize("run", [run_ampso, run_gpso])
+def test_bounds_reassigned_to_a_non_box_rejected_before_any_evaluation(run, bad):
+    calls = []
+    spec = sphere_with(2, lambda x: calls.append(len(x)) or np.sum(x * x, axis=-1))
+    spec.bounds = bad
+    with pytest.raises(ValueError, match=f"^bounds must be a Bounds, got {type(bad).__name__}$"):
+        run(AmpsoConfig(fe_budget=200), spec, seed=0)
+    assert not calls
+
+
 def test_operands_never_cross_between_boxes():
     # same dimension, different boxes: every run must match a first run on a fresh spec,
     # however often specs are dropped and rebuilt in between

@@ -1,4 +1,6 @@
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +179,30 @@ class TestSpawnArtificialSwarm:
                 np.zeros(2), 0.0, 8, spec, RngStream(8), counter, 0.01 * spec.bounds.span
             )
         assert counter.used == 0
+
+    @pytest.mark.parametrize(
+        "seed_position, seed_fitness, message",
+        [
+            (np.array([1.0]), 0.0, "seed_position must be a finite vector of length 3, got array([1.])"),
+            (np.zeros((1, 3)), 0.0, "seed_position must be a finite vector of length 3"),
+            (np.array([0.0, math.nan, 0.0]), 0.0, "seed_position must be a finite vector of length 3"),
+            (np.array([0.0, 0.0, -math.inf]), 0.0, "seed_position must be a finite vector of length 3"),
+            (np.zeros(3), math.nan, "seed_fitness must be a finite real number, got nan"),
+            (np.zeros(3), math.inf, "seed_fitness must be a finite real number, got inf"),
+            (np.zeros(3), "x", "seed_fitness must be a finite real number, got 'x'"),
+            (np.zeros(3), None, "seed_fitness must be a finite real number, got None"),
+            (np.zeros(3), True, "seed_fitness must be a finite real number, got True"),
+        ],
+    )
+    def test_bad_seed_rejected_before_anything_is_spent_or_drawn(self, seed_position, seed_fitness, message):
+        # no fitness compares below a NaN incumbent, so it would never be replaced
+        spec = sphere_spec(3)
+        counter, rng = EvalCounter(budget=100), RngStream(9)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            spawn_artificial_swarm(seed_position, seed_fitness, 5, spec, rng, counter, 0.01 * spec.bounds.span)
+        assert counter.used == 0
+        untouched = RngStream(9)
+        assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
 
 
 class TestPartialReconstruct:

@@ -11,8 +11,9 @@ into a temporary directory, so the benchmark's own outputs land there:
 this script reads ``perfbench/`` and ``BENCHMARK.json`` and never writes
 under the repository, except the one ``BENCH_<pr>.json``.
 
-For every end-to-end metric of ``BENCHMARK.json`` the record gives each
-side's median and quartiles, the pairs the change won (ties count for
+Each workload's record gives each side's total of failed runs over its
+pairs, and for every end-to-end metric of ``BENCHMARK.json`` each side's
+median and quartiles, the pairs the change won (ties count for
 neither), and a verdict:
 
 * ``gain``: the change won at least 9 in 10 of the pairs and the gap
@@ -22,6 +23,9 @@ neither), and a verdict:
 * ``unresolved``: neither, and the parent's own spread (its interquartile
   range) is wider than the bound;
 * ``within bound``: otherwise.
+
+The script exits 1, having written the record, when on some workload the
+change failed more runs than the parent.
 
 ``--traced`` adds per-layer runs (``--trace 1 --seed 0``) of every
 workload, in the order parent, change, change, parent, under the
@@ -204,7 +208,8 @@ def main(argv=None) -> int:
                 })
                 shown = "  ".join(f"{side} {runs[side]['values'].get('us_per_fe', float('nan')):.4f}" for side in order)
                 print(f"{workload} seed {seed}: {shown}", file=sys.stderr, flush=True)
-            record["workloads"][workload] = {"metrics": summarize(pairs, metrics), "pairs": pairs}
+            failed = {"parent": sum(pair["failed"][0] for pair in pairs), "change": sum(pair["failed"][1] for pair in pairs)}
+            record["workloads"][workload] = {"metrics": summarize(pairs, metrics), "failed": failed, "pairs": pairs}
             if args.traced:
                 record["workloads"][workload]["traced_seed0"] = traced_runs(trees, workload)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
@@ -212,7 +217,10 @@ def main(argv=None) -> int:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     print(f"wrote {path}", file=sys.stderr)
-    return 0
+    worse = [name for name, entry in record["workloads"].items() if entry["failed"]["change"] > entry["failed"]["parent"]]
+    if worse:
+        print(f"the change failed more runs than the parent on {', '.join(worse)}", file=sys.stderr)
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
