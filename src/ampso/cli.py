@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands:
-    run     one seeded run, one-line summary, optional trace CSV
+    run     one seeded run and its one-line summary; --out writes its
+            convergence trace CSV, --stride thins it
     bench   a seeded campaign with per-cell statistics (CSV + JSON)
-    trace   one run with a convergence trace CSV at a configurable stride
 
 Configuration precedence (lowest to highest): built-in defaults, --config
 JSON file, AMPSO_<FIELD> environment variables, explicit flags.  Config
@@ -52,7 +52,7 @@ def load_config(path: str | None, env: dict[str, str], cli_overrides: dict) -> A
                 data = json.load(handle)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, too many digits or not UTF-8
             raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
@@ -102,17 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one run and print a summary line")
     add_common(run_p)
     run_p.add_argument("--out", default=None, help="optional trace CSV path")
+    run_p.add_argument("--stride", type=int, default=None, help="minimum FEs between trace rows (needs --out)")
 
     bench_p = sub.add_parser("bench", help="run a seeded campaign and write statistics")
     add_common(bench_p)
     bench_p.add_argument("--runs", type=int, default=30, help="runs per cell")
     bench_p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     bench_p.add_argument("--out", default="bench_out", help="output directory")
-
-    trace_p = sub.add_parser("trace", help="execute one run and write its trace CSV")
-    add_common(trace_p)
-    trace_p.add_argument("--out", required=True, help="trace CSV path")
-    trace_p.add_argument("--stride", type=int, default=None, help="minimum FEs between trace rows")
 
     return parser
 
@@ -152,22 +148,23 @@ def _campaign(args, config: AmpsoConfig, base_seed: int, runs: int = 1, jobs: in
 
 
 def cmd_run(args, config: AmpsoConfig) -> int:
-    """``run`` and ``trace``: one seeded run, its summary line and its trace CSV."""
-    stride = getattr(args, "stride", None)  # only ``trace`` takes --stride
-    if stride is not None and stride < 1:
-        raise UsageError("--stride must be at least 1")
+    """One seeded run, its summary line and, with ``--out``, its trace CSV."""
+    if args.stride is not None:
+        if not args.out:
+            raise UsageError("--stride needs --out")
+        if args.stride < 1:
+            raise UsageError("--stride must be at least 1")
     config = config.with_overrides(seed=_resolve_seed(args.seed, config))
     campaign = _campaign(args, config, config.seed)
     if len(campaign.algorithms) != 1 or len(campaign.functions) != 1:
         raise UsageError("this command takes a single algorithm and function")
     (algorithm,), (function,) = campaign.algorithms, campaign.functions
     result = ALGORITHMS[algorithm](config, make_spec(function, args.dim))
-    trace = args.command == "trace"
-    if args.out or trace:
-        write_trace_csv(args.out, result, stride=stride)
+    if args.out:
+        write_trace_csv(args.out, result, stride=args.stride)
     print(
         f"{algorithm} {function} dim={args.dim} seed={config.seed} "
-        f"best_error={result.best_error:.6e} fe_used={result.fe_used}" + (f" trace={args.out}" if trace else "")
+        f"best_error={result.best_error:.6e} fe_used={result.fe_used}"
     )
     return 0
 

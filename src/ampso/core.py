@@ -308,8 +308,12 @@ def is_integer(value) -> bool:
 
 
 def is_finite_real(value) -> bool:
-    """A finite real number of any real type, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number of any real type, numpy's included, but not a bool;
+    an integer past the float range is not one."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        return False
 
 
 class RngStream:

@@ -15,8 +15,6 @@ File layout under the output directory:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -266,11 +264,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # every field is a registry name, an int or a float (whose str is its
+    # repr), none of which csv would quote, so plain joins write its bytes
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _json_number(value: float) -> float | None:
@@ -287,17 +283,14 @@ def write_campaign_outputs(
     runs_path = os.path.join(out_dir, "runs.csv")
     _atomic_write(
         runs_path,
-        _csv_text(
-            RUNS_COLUMNS,
-            [r._replace(best_error=repr(r.best_error))[: len(RUNS_COLUMNS)] for r in records],
-        ),
+        _csv_text(RUNS_COLUMNS, [r[: len(RUNS_COLUMNS)] for r in records]),
     )
 
     summary_path = os.path.join(out_dir, "summary.csv")
     summary_header = (*CELL_KEYS, *StatsSummary._fields)
     _atomic_write(
         summary_path,
-        _csv_text(summary_header, [(*c[: len(CELL_KEYS)], *map(repr, c.stats)) for c in cells]),
+        _csv_text(summary_header, [(*c[: len(CELL_KEYS)], *c.stats) for c in cells]),
     )
 
     json_path = os.path.join(out_dir, "summary.json")

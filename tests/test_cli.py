@@ -5,7 +5,10 @@ import re
 import pytest
 
 from ampso import cli, harness
+from ampso.benchmarks import make_spec
 from ampso.cli import main
+from ampso.harness import write_trace_csv
+from ampso.optimizer import AmpsoConfig, run_ampso
 from conftest import column_sphere, half_inf_sphere, scaling_sphere, sphere_with, total_sphere
 
 
@@ -59,7 +62,7 @@ class TestRunCommand:
         assert code == 2
         assert "'nope'" in err and "'ampso,nope'" not in err
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, command, seed):
         path = tmp_path / "trace.csv"
@@ -212,6 +215,33 @@ class TestConfigHandling:
         assert code == 2
         assert key in err
 
+    def test_config_value_past_the_float_range_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"c1": 10**401}))
+        code, out, err = run_cli(["run", "--config", str(config_path)] + BUDGET_ARGS, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: c1 must be a finite real number")
+
+    def test_environment_value_past_the_float_range_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("AMPSO_VMAX_FACTOR", str(10**401))
+        code, out, err = run_cli(["run"] + BUDGET_ARGS, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: vmax_factor must be a finite real number")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"c1": 1' + b"0" * 4999 + b"}", id="5000-digit integer"),
+            pytest.param(bytes([0xFF, 0xFE, 0x7B, 0x7D]), id="not utf-8"),
+        ],
+    )
+    def test_unreadable_config_value_exits_2(self, tmp_path, capsys, content):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        code, out, err = run_cli(["run", "--config", str(config_path)] + BUDGET_ARGS, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: config file is not valid JSON: ")
+
     def test_bad_usage_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -250,7 +280,7 @@ class TestTraceCommand:
     def test_trace_schema_and_grammar(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         code, _, _ = run_cli(
-            ["trace", "--function", "rastrigin", "--dim", "2", "--seed", "1", "--out", str(path)]
+            ["run", "--function", "rastrigin", "--dim", "2", "--seed", "1", "--out", str(path)]
             + BUDGET_ARGS,
             capsys,
         )
@@ -267,14 +297,46 @@ class TestTraceCommand:
 
     def test_stride_flag(self, tmp_path, capsys):
         dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
-        base = ["trace", "--function", "sphere", "--dim", "2", "--seed", "2"] + BUDGET_ARGS
+        base = ["run", "--function", "sphere", "--dim", "2", "--seed", "2"] + BUDGET_ARGS
         run_cli(base + ["--out", str(dense)], capsys)
         run_cli(base + ["--out", str(sparse), "--stride", "300"], capsys)
         assert len(sparse.read_text().splitlines()) < len(dense.read_text().splitlines())
 
+    def test_out_writes_what_write_trace_csv_writes(self, tmp_path, capsys):
+        args = ["run", "--function", "rastrigin", "--dim", "2", "--seed", "5"] + BUDGET_ARGS
+        code, out, _ = run_cli(args + ["--out", str(tmp_path / "cli.csv"), "--stride", "40"], capsys)
+        assert code == 0
+        result = run_ampso(AmpsoConfig(fe_budget=2000, seed=5), make_spec("rastrigin", 2))
+        write_trace_csv(str(tmp_path / "api.csv"), result, stride=40)
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "api.csv").read_bytes()
+        # --out adds a file, not a word, to the summary line
+        assert run_cli(args, capsys)[1] == out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--stride", "5"], "--stride needs --out"),
+            (["--out", "trace.csv", "--stride", "0"], "--stride must be at least 1"),
+            (["--out", "trace.csv", "--stride", "-3"], "--stride must be at least 1"),
+        ],
+    )
+    def test_stride_misuse_exits_2(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["run", "--function", "sphere", "--dim", "2"] + BUDGET_ARGS + extra, capsys)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_trace_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["trace", "--function", "sphere", "--dim", "2", "--out", str(tmp_path / "t.csv")])
+        assert err.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
-            ["trace", "--function", "sphere", "--dim", "2", "--out", str(tmp_path / "missing" / "t.csv")]
+            ["run", "--function", "sphere", "--dim", "2", "--out", str(tmp_path / "missing" / "t.csv")]
             + BUDGET_ARGS,
             capsys,
         )

@@ -267,6 +267,11 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError, match=re.escape(f"optimum_value must be a finite real number, got {bad!r}")):
             ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=bad)
 
+    def test_optimum_past_the_float_range_rejected(self):
+        # math.isfinite cannot convert such an int: no OverflowError may escape
+        with pytest.raises(ValueError, match="^optimum_value must be a finite real number, got 1000"):
+            ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=10**401)
+
     @pytest.mark.parametrize("good", [0, -450.0, 1e300, np.float64(2.5), np.int64(-3)])
     def test_finite_real_optimum_accepted(self, good):
         assert ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=good).optimum_value == good

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ampso import harness
 from ampso.harness import (
@@ -208,6 +211,33 @@ assert "concurrent.futures.process" in sys.modules, pool_modules()
         with open(paths["runs"]) as handle:
             assert next(csv.reader(handle)) == ["algorithm", "function", "dim", "run", "seed", "best_error", "fe_used"]
 
+    def test_campaign_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        def crash(config, spec, seed=None):
+            raise RuntimeError("objective blew up")
+
+        monkeypatch.setitem(harness.ALGORITHMS, "gpso", crash)
+        monkeypatch.setitem(harness.LOCKSTEP, "gpso", lambda config, spec, seeds: crash(config, spec))
+        campaign = CampaignSpec(
+            algorithms=("ampso", "gpso"), functions=("sphere", "griewank"), dimensions=(2,), runs=2, config=TINY
+        )
+        records, cells = run_campaign(campaign)
+        write_campaign_outputs(str(tmp_path), records, cells)
+        assert sum(math.isnan(r.best_error) for r in records) == 4  # every gpso run failed
+
+        def csv_writer_bytes(header, rows):
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buffer.getvalue().encode()
+
+        runs = [(r.algorithm, r.function, r.dim, r.run, r.seed, repr(r.best_error), r.fe_used) for r in records]
+        runs_header = ("algorithm", "function", "dim", "run", "seed", "best_error", "fe_used")
+        assert (tmp_path / "runs.csv").read_bytes() == csv_writer_bytes(runs_header, runs)
+        summary = [(c.algorithm, c.function, c.dim, c.runs, *map(repr, c.stats)) for c in cells]
+        summary_header = ("algorithm", "function", "dim", "runs", "mean", "std", "best", "worst", "median")
+        assert (tmp_path / "summary.csv").read_bytes() == csv_writer_bytes(summary_header, summary)
+
     def test_nan_objective_fails_its_cell(self, monkeypatch):
         monkeypatch.setattr(harness, "make_spec", lambda function, dim: half_nan_sphere(dim))
         campaign = CampaignSpec(algorithms=("gpso",), functions=("sphere",), dimensions=(2,), runs=2, config=TINY)
@@ -335,6 +365,25 @@ class TestTraceCsv:
         # endpoints survive thinning
         assert sparse_rows[0] == dense_rows[0]
         assert sparse_rows[-1] == dense_rows[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fes=st.lists(st.integers(0, 300), min_size=1, max_size=40, unique=True).map(sorted),
+        stride=st.integers(1, 100),
+    )
+    @example(fes=[0, 10, 20, 25], stride=10)  # rows exactly one stride apart are kept
+    @example(fes=[0, 9, 20, 25], stride=10)  # and one FE less is dropped
+    def test_stride_rule(self, tmp_path_factory, fes, stride):
+        points = [TracePoint(fe, i, "exploration", 1.0, 0.5, 0.7, 0.0) for i, fe in enumerate(fes)]
+        path = tmp_path_factory.getbasetemp() / "stride.csv"
+        write_trace_csv(str(path), RunResult(np.zeros(2), 0.0, fes[-1], points, []), stride=stride)
+        kept = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+        remaining = iter(fes)
+        assert all(fe in remaining for fe in kept)  # a subsequence
+        assert kept[0] == fes[0] and kept[-1] == fes[-1]
+        assert all(b - a >= stride for a, b in zip(kept[:-1], kept[1:-1]))
+        for fe in set(fes) - set(kept):
+            assert fe - max(k for k in kept if k < fe) < stride
 
     @pytest.mark.parametrize("stride", [None, 1, 7])
     def test_bytes_match_csv_writer(self, tmp_path, stride):

@@ -204,6 +204,15 @@ class TestSpawnArtificialSwarm:
         untouched = RngStream(9)
         assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
 
+    def test_seed_fitness_past_the_float_range_rejected_before_anything_is_spent(self):
+        spec = sphere_spec(3)
+        counter, rng = EvalCounter(budget=100), RngStream(9)
+        with pytest.raises(ValueError, match="^seed_fitness must be a finite real number, got 1000"):
+            spawn_artificial_swarm(np.zeros(3), 10**401, 5, spec, rng, counter, 0.01 * spec.bounds.span)
+        assert counter.used == 0
+        untouched = RngStream(9)
+        assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
+
 
 class TestPartialReconstruct:
     def test_zero_sigma_limit_collapses_onto_best(self):
