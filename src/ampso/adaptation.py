@@ -8,6 +8,7 @@ the convergence swarm is rebuilt wholesale.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,18 +29,20 @@ _EXP_LIMIT = 700.0  # exp() overflows just above this in float64
 
 @dataclass
 class FitnessHistory:
-    """Best-fitness trajectory of one swarm, indexed from iteration 1.
+    """The last ``window`` + 1 best fitness values of one swarm, oldest first.
 
-    ``window`` is the comparison span of the evolution rate.  The values
-    are non-increasing because a swarm's global best only improves.
+    ``window`` is the comparison span of the evolution rate, which reads
+    no older value.  The values are non-increasing because a swarm's
+    global best only improves.
     """
 
     window: int
-    values: list[float] = field(default_factory=list)
+    values: deque[float] = field(init=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be a positive integer")
+        self.values = deque(maxlen=self.window + 1)
 
     def record(self, best_fitness: float) -> None:
         self.values.append(float(best_fitness))
@@ -57,20 +60,12 @@ def evolution_rate(history: FitnessHistory) -> float:
     The denominator uses |bf(t-1)| + 1e-12: recorded values may reach 0
     on error-form benchmarks, and user objectives may go negative.
     """
-    k = history.window
-    bf = history.values  # bf[t - 1] is the record of iteration t
-    t = len(bf)
-    if t == 0:
+    bf = history.values  # bf[0] is bf(1) until t > K, then bf(t-K); bf[-1] is bf(t)
+    if not bf:
         raise ValueError("history is empty")
-    if t == 1:
+    if len(bf) == 1:
         return 1.0
-    if t <= k:
-        gain = bf[0] - bf[t - 1]
-        steps = t
-    else:
-        gain = bf[t - k - 1] - bf[t - 1]
-        steps = k
-    return gain / (steps * (abs(bf[t - 2]) + _DENOM_EPS))
+    return (bf[0] - bf[-1]) / (min(len(bf), history.window) * (abs(bf[-2]) + _DENOM_EPS))
 
 
 def _unit_clamp(e: float) -> float:

@@ -241,7 +241,7 @@ class ObjectiveSpec:
         if not callable(self.function):
             raise ValueError("an objective callable is required")
         if not is_finite_real(self.optimum_value):
-            raise ValueError(f"optimum_value must be a finite real number, got {self.optimum_value!r}")
+            raise ValueError(f"optimum_value must be a finite real number, got {safe_repr(self.optimum_value)}")
         if self.shift is not None:
             self.shift = np.asarray(self.shift, dtype=float)
             if self.shift.shape != (self.dimension,):
@@ -316,6 +316,14 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def safe_repr(value) -> str:
+    """``repr(value)``, or the size of an int too long for ``repr`` to write."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
+
+
 class RngStream:
     """Deterministic randomness for one run: a uniform and a Gaussian sequence.
 
@@ -327,7 +335,7 @@ class RngStream:
 
     def __init__(self, seed: int):
         if not is_integer(seed) or not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an integer that fits in an unsigned 64-bit integer, got {seed!r}")
+            raise ValueError(f"seed must be an integer that fits in an unsigned 64-bit integer, got {safe_repr(seed)}")
         uniform_seq, gauss_seq = np.random.SeedSequence(int(seed)).spawn(2)
         self._uniform = np.random.default_rng(uniform_seq)
         self._gauss = np.random.default_rng(gauss_seq)
@@ -405,15 +413,30 @@ def initialize_swarm(
     Positions are uniform in [lower, upper] per dimension and velocities
     uniform in [-vmax, vmax]; personal bests start at the initial
     positions.  Costs ``size`` evaluations.  Draw order: positions, then
-    velocities, then the evaluation.
+    velocities, then the evaluation.  A size below 1 or a ``vmax`` that is
+    not a positive finite vector of length D is a ``ValueError``, raised
+    before anything is spent or drawn.
+    """
+    bounds = spec.bounds
+    return _launch_swarm(spec, size, rng, vmax, counter, lambda: rng.uniform(size=(size, spec.dimension)) * bounds.span + bounds.lower)
+
+
+def _launch_swarm(spec: ObjectiveSpec, size: int, rng: RngStream, vmax, counter: EvalCounter, place, incumbent=None) -> Swarm:
+    """The one rule every new swarm starts by: place, set moving, evaluate.
+
+    ``place()`` draws the ``(size, D)`` positions; velocities are then
+    uniform in [-vmax, vmax], and the evaluation comes last.  A size
+    below 1 or a ``vmax`` that is not a positive finite vector of length
+    D is a ``ValueError``, and a budget short of ``size`` evaluations is
+    :class:`BudgetExhausted`, all raised before anything is drawn.
+    ``incumbent`` is passed on to :meth:`Swarm.fresh`.
     """
     if size < 1:
         raise ValueError("swarm size must be at least 1")
     vmax = np.asarray(vmax, dtype=float)
-    if vmax.shape != (spec.dimension,) or not np.all(vmax > 0):
-        raise ValueError("vmax must be a positive vector of length D")
+    if vmax.shape != (spec.dimension,) or not np.all((0 < vmax) & (vmax < math.inf)):  # NaN fails both
+        raise ValueError(f"vmax must be a positive finite vector of length {spec.dimension}")
     counter.require(size)
-    bounds = spec.bounds
-    positions = rng.uniform(size=(size, spec.dimension)) * bounds.span + bounds.lower
+    positions = place()
     velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax
-    return Swarm.fresh(positions, velocities, evaluate_batch(spec, positions, counter))
+    return Swarm.fresh(positions, velocities, evaluate_batch(spec, positions, counter), incumbent)

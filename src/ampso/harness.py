@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchmarks import get_entry, make_spec
-from .core import is_integer
+from .core import is_integer, safe_repr
 from .optimizer import AmpsoConfig, RunResult, TracePoint, run_ampso, run_gpso, run_gpso_lockstep
 
 __all__ = [
@@ -102,11 +102,9 @@ class CampaignSpec:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if not 0 <= self.base_seed <= 2**64 - self.runs:
-            raise ValueError(
-                f"run seeds {self.base_seed}..{self.base_seed + self.runs - 1} "
-                "must fit in an unsigned 64-bit integer"
-            )
+        first, last = int(self.base_seed), int(self.base_seed) + int(self.runs) - 1
+        if not 0 <= first <= last < 2**64:
+            raise ValueError(f"run seeds {safe_repr(first)}..{safe_repr(last)} must fit in an unsigned 64-bit integer")
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHMS:
                 known = ", ".join(sorted(ALGORITHMS))

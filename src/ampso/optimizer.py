@@ -32,7 +32,7 @@ from .adaptation import (
     reconstruct_probability,
     sigma_reconstruction,
 )
-from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_finite_real, is_integer
+from .core import Bounds, EvalCounter, ObjectiveSpec, RngStream, Swarm, initialize_swarm, is_finite_real, is_integer, safe_repr
 from .diversity import grid_scale, hybrid_diversity
 from .swarm_ops import KinematicParams, full_reconstruct, partial_reconstruct, pso_step, spawn_artificial_swarm
 
@@ -55,8 +55,10 @@ EXPLORATION = "exploration"
 EXPLOITATION = "exploitation"
 CONVERGENCE = "convergence"
 
-# the most runs one lockstep swarm holds: its memory stays that of 32 single
-# runs, and the saving per evaluation has levelled off by 30
+# the most runs one lockstep swarm holds: it caps the stacked swarm's arrays
+# at those of 32 runs, not the cell's memory, since every run's result, trace
+# included, is kept until the cell returns; the saving per evaluation has
+# levelled off by 30
 LOCKSTEP_RUNS = 32
 
 
@@ -103,7 +105,7 @@ class AmpsoConfig:
                 if not is_integer(value):
                     raise ConfigError(f"{name} must be an integer, got {value!r}")
             elif not is_finite_real(value):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite real number, got {safe_repr(value)}")
         if min(self.exploration_size, self.sub_swarm_size, self.exploitation_size, self.convergence_size) < 1:
             raise ConfigError("swarm sizes must be positive")
         if self.exploration_size % self.sub_swarm_size != 0:

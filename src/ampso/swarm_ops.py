@@ -24,8 +24,10 @@ from .core import (
     ObjectiveSpec,
     RngStream,
     Swarm,
+    _launch_swarm,
     evaluate_batch,
     is_finite_real,
+    safe_repr,
 )
 
 __all__ = [
@@ -155,19 +157,15 @@ def spawn_artificial_swarm(
     Draw order: Gaussian offsets, velocities, then the evaluation.  A seed
     that is not a finite vector of length D with a finite real fitness is
     a ``ValueError`` naming the argument, raised before anything is spent
-    or drawn.
+    or drawn; so are a size below 1 and a ``vmax`` that is not a positive
+    finite vector of length D, as for :func:`~ampso.core.initialize_swarm`.
     """
-    if size < 1:
-        raise ValueError("size must be at least 1")
     if np.shape(seed_position) != (spec.dimension,) or not np.all(np.isfinite(seed_position)):
         raise ValueError(f"seed_position must be a finite vector of length {spec.dimension}, got {seed_position!r}")
     if not is_finite_real(seed_fitness):
-        raise ValueError(f"seed_fitness must be a finite real number, got {seed_fitness!r}")
-    counter.require(size)
-    positions = _cloud(seed_position, SPAWN_SPREAD, size, spec, rng)
-    velocities = (rng.uniform(size=(size, spec.dimension)) * 2.0 - 1.0) * vmax
-    fitness = evaluate_batch(spec, positions, counter)
-    return Swarm.fresh(positions, velocities, fitness, incumbent=(seed_position, seed_fitness))
+        raise ValueError(f"seed_fitness must be a finite real number, got {safe_repr(seed_fitness)}")
+    place = lambda: _cloud(seed_position, SPAWN_SPREAD, size, spec, rng)
+    return _launch_swarm(spec, size, rng, vmax, counter, place, (seed_position, seed_fitness))
 
 
 def _cloud(center: np.ndarray, sigma: float, n: int, spec: ObjectiveSpec, rng: RngStream) -> np.ndarray:

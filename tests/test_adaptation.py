@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ampso.adaptation import (
     FitnessHistory,
@@ -36,6 +38,16 @@ def history_from(values, window=50) -> FitnessHistory:
     return history
 
 
+@st.composite
+def windowed_histories(draw):
+    """A window K in 1..60 and a non-increasing history of 1 to 3K + 2 values."""
+    k = draw(st.integers(1, 60))
+    values = [draw(st.floats(-1e6, 1e6))]
+    for drop in draw(st.lists(st.floats(0.0, 1e3), max_size=3 * k + 1)):
+        values.append(values[-1] - drop)
+    return k, values
+
+
 class TestEvolutionRate:
     def test_first_iteration_is_one(self):
         assert evolution_rate(history_from([123.4])) == 1.0
@@ -62,6 +74,19 @@ class TestEvolutionRate:
             assert evolution_rate(history) == pytest.approx(
                 oracle_rate(values, k), abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_histories())
+    @example((1, [3.0, 2.0, 2.0, 0.5, 0.0]))
+    @example((60, [100.0 - i for i in range(182)]))
+    def test_bounded_window_matches_oracle_exactly(self, case):
+        # every t from 1 to 3K + 2 at most, so t = 1, K and K + 1 all occur
+        k, values = case
+        history = FitnessHistory(window=k)
+        for t, value in enumerate(values, start=1):
+            history.record(value)
+            assert len(history.values) == min(t, k + 1)
+            assert evolution_rate(history) == oracle_rate(values[:t], k)
 
     def test_improving_then_flat_transitions_to_zero(self):
         values = [100.0 - i for i in range(30)] + [71.0] * 100

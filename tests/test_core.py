@@ -13,6 +13,7 @@ from ampso.core import (
     Swarm,
     evaluate_batch,
     initialize_swarm,
+    safe_repr,
 )
 from ampso.benchmarks import REGISTRY, make_spec
 from ampso.diversity import grid_scale
@@ -272,6 +273,11 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError, match="^optimum_value must be a finite real number, got 1000"):
             ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=10**401)
 
+    def test_optimum_too_long_to_print_rejected_by_name(self):
+        # repr() refuses an int of more than 4,300 digits; the message gives its size instead
+        with pytest.raises(ValueError, match="^optimum_value must be a finite real number, got an int of 16610 bits$"):
+            ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=10**5000)
+
     @pytest.mark.parametrize("good", [0, -450.0, 1e300, np.float64(2.5), np.int64(-3)])
     def test_finite_real_optimum_accepted(self, good):
         assert ObjectiveSpec(Bounds.cube(-1.0, 1.0, 2), REGISTRY["sphere"].function, optimum_value=good).optimum_value == good
@@ -284,6 +290,17 @@ class TestObjectiveSpec:
     def test_bounds_must_be_a_bounds(self, bad):
         with pytest.raises(ValueError, match=f"^bounds must be a Bounds, got {type(bad).__name__}$"):
             ObjectiveSpec(bad, REGISTRY["sphere"].function)
+
+
+class TestSafeRepr:
+    @pytest.mark.parametrize("value", [0, -7, 10**4299, -(10**4299), 2.5, math.nan, "x", None, np.int64(3)])
+    def test_printable_values_are_their_repr(self, value):
+        # an int of up to 4,300 digits prints as before, byte for byte
+        assert safe_repr(value) == repr(value)
+
+    @pytest.mark.parametrize("value", [10**4300, -(10**5000), 2**20000], ids=["4301-digits", "minus-5001-digits", "2**20000"])
+    def test_int_too_long_to_print_is_its_size(self, value):
+        assert safe_repr(value) == f"an int of {value.bit_length()} bits"
 
 
 class TestSwarmFresh:
@@ -406,6 +423,10 @@ class TestRngStream:
         # int() would turn each of these into seed 1 and draw its stream
         with pytest.raises(ValueError, match="seed must be an integer"):
             RngStream(seed)
+
+    def test_seed_too_long_to_print_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be an integer that fits in an unsigned 64-bit integer, got an int of 16610 bits$"):
+            RngStream(10**5000)
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
     def test_numpy_integer_seed_accepted(self, seed):

@@ -315,6 +315,27 @@ assert "concurrent.futures.process" in sys.modules, pool_modules()
         with pytest.raises(ValueError, match=re.escape(message)):
             CampaignSpec(**{field: value}, config=TINY).validate()
 
+    @pytest.mark.parametrize(
+        "runs, base_seed, message",
+        [
+            (3, -1, "run seeds -1..1 must fit"),
+            (3, 2**64 - 2, "run seeds 18446744073709551614..18446744073709551616 must fit"),
+            (10**5000, 0, "run seeds 0..an int of 16610 bits must fit"),
+            (1, 10**5000, "run seeds an int of 16610 bits..an int of 16610 bits must fit"),
+        ],
+        ids=["negative", "past-2**64", "huge-runs", "huge-seed"],
+    )
+    def test_run_seeds_past_64_bits_rejected_by_range(self, runs, base_seed, message):
+        # an int of more than 4,300 digits cannot be printed; its size stands in
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            CampaignSpec(runs=runs, base_seed=base_seed, config=TINY).validate()
+
+    def test_numpy_integer_runs_and_seed_accepted(self):
+        # the range is checked on Python ints: 2**64 - np.int64(3) overflows int64
+        CampaignSpec(runs=np.int64(3), base_seed=np.uint64(2**64 - 3), config=TINY).validate()
+        with pytest.raises(ValueError, match="^run seeds 5..18446744073709551619 must fit"):
+            CampaignSpec(runs=np.uint64(2**64 - 1), base_seed=np.int64(5), config=TINY).validate()
+
     def test_budget_checked_against_each_algorithms_first_swarm(self):
         config = AmpsoConfig(exploration_size=500, fe_budget=100)
         CampaignSpec(algorithms=("gpso",), config=config).validate()

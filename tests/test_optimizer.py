@@ -92,6 +92,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             AmpsoConfig(**overrides).validate()
 
+    def test_field_too_long_to_print_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="^c1 must be a finite real number, got an int of 16610 bits$"):
+            AmpsoConfig(c1=10**5000).validate()
+
     def test_numeric_types_accepted(self):
         AmpsoConfig(entropy_bins=np.int64(12), c1=2, vmax_factor=np.float64(0.02), fe_budget=None).validate()
 

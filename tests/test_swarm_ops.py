@@ -204,6 +204,13 @@ class TestSpawnArtificialSwarm:
         untouched = RngStream(9)
         assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
 
+    def test_seed_fitness_too_long_to_print_rejected_by_name(self):
+        spec = sphere_spec(3)
+        counter, rng = EvalCounter(budget=100), RngStream(9)
+        with pytest.raises(ValueError, match="^seed_fitness must be a finite real number, got an int of 16610 bits$"):
+            spawn_artificial_swarm(np.zeros(3), 10**5000, 5, spec, rng, counter, 0.01 * spec.bounds.span)
+        assert counter.used == 0
+
     def test_seed_fitness_past_the_float_range_rejected_before_anything_is_spent(self):
         spec = sphere_spec(3)
         counter, rng = EvalCounter(budget=100), RngStream(9)
@@ -211,6 +218,65 @@ class TestSpawnArtificialSwarm:
             spawn_artificial_swarm(np.zeros(3), 10**401, 5, spec, rng, counter, 0.01 * spec.bounds.span)
         assert counter.used == 0
         untouched = RngStream(9)
+        assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
+
+
+def launch(builder, spec, size, rng, counter, vmax):
+    """Build a swarm with ``builder``; a spawn is seeded at the origin."""
+    if builder == "initialize_swarm":
+        return initialize_swarm(spec, size, rng, vmax, counter)
+    return spawn_artificial_swarm(np.zeros(spec.dimension), 0.0, size, spec, rng, counter, vmax)
+
+
+BUILDERS = ["initialize_swarm", "spawn_artificial_swarm"]
+
+
+class TestLaunchRule:
+    """Both builders start a swarm by one rule, checked before any draw."""
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize(
+        "vmax",
+        [
+            np.full(3, math.nan),
+            np.array([1.0, math.nan, 1.0]),
+            np.full(3, math.inf),
+            np.full(3, -math.inf),
+            np.array([1.0, 1.0, math.inf]),
+            np.zeros(3),
+            -np.ones(3),
+            np.array([1.0, -1.0, 1.0]),
+            1.0,
+            np.ones(4),
+            np.ones(2),
+            np.ones((1, 3)),
+        ],
+        ids=["nan", "one-nan", "inf", "minus-inf", "one-inf", "zero", "negative", "one-negative",
+             "scalar", "length-4", "length-2", "row-block"],
+    )
+    def test_bad_vmax_rejected_before_anything_is_spent_or_drawn(self, builder, vmax):
+        spec = sphere_spec(3)
+        counter, rng = EvalCounter(budget=100), RngStream(11)
+        with pytest.raises(ValueError, match="^vmax must be a positive finite vector of length 3$"):
+            launch(builder, spec, 5, rng, counter, vmax)
+        assert counter.used == 0
+        untouched = RngStream(11)
+        assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_vmax_checked_before_the_budget(self, builder):
+        with pytest.raises(ValueError, match="^vmax must"):
+            launch(builder, sphere_spec(3), 5, RngStream(11), EvalCounter(budget=2), np.full(3, math.nan))
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_rejected_before_anything_is_spent_or_drawn(self, builder, size):
+        spec = sphere_spec(3)
+        counter, rng = EvalCounter(budget=100), RngStream(11)
+        with pytest.raises(ValueError, match="^swarm size must be at least 1$"):
+            launch(builder, spec, size, rng, counter, np.ones(3))
+        assert counter.used == 0
+        untouched = RngStream(11)
         assert (rng.uniform(), rng.normal()) == (untouched.uniform(), untouched.normal())
 
 
