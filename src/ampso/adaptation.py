@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import is_integer
+
 __all__ = [
     "FitnessHistory",
     "evolution_rate",
@@ -40,8 +42,9 @@ class FitnessHistory:
     values: deque[float] = field(init=False)
 
     def __post_init__(self):
-        if self.window < 1:
+        if not is_integer(self.window) or self.window < 1:
             raise ValueError("window must be a positive integer")
+        self.window = int(self.window)  # deque takes no numpy integer as its length
         self.values = deque(maxlen=self.window + 1)
 
     def record(self, best_fitness: float) -> None:

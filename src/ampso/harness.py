@@ -15,6 +15,7 @@ File layout under the output directory:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -44,8 +45,9 @@ __all__ = [
 ALGORITHMS = {"ampso": run_ampso, "gpso": run_gpso}
 
 # cell entries: every run of one of these algorithms' cells takes the same
-# iterations, so a cell's runs step as one swarm of a group per run
-LOCKSTEP = {"gpso": run_gpso_lockstep}
+# iterations, so a cell's runs step as one swarm of a group per run; a cell
+# writes no trace, so its runs keep none
+LOCKSTEP = {"gpso": functools.partial(run_gpso_lockstep, trace=False)}
 
 TRACE_COLUMNS = TracePoint._fields
 

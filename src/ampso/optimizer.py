@@ -56,8 +56,8 @@ EXPLOITATION = "exploitation"
 CONVERGENCE = "convergence"
 
 # the most runs one lockstep swarm holds: it caps the stacked swarm's arrays
-# at those of 32 runs, not the cell's memory, since every run's result, trace
-# included, is kept until the cell returns; the saving per evaluation has
+# at those of 32 runs; a traced cell's memory is not capped, since every run's
+# trace is kept until the cell returns; the saving per evaluation has
 # levelled off by 30
 LOCKSTEP_RUNS = 32
 
@@ -405,7 +405,7 @@ def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) 
     return run_gpso_lockstep(config, spec, [seed])[0]
 
 
-def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds) -> list[RunResult]:
+def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds, trace: bool = True) -> list[RunResult]:
     """``[run_gpso(config, spec, seed) for seed in seeds]`` bit for bit, stepped in lockstep.
 
     Every gpso run of one config and problem takes the same iterations
@@ -414,29 +414,36 @@ def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds) -> list[R
     objective call an iteration instead of one per run.  A problem with a
     rotation runs one run at a time, because a stacked ``x @ Q.T`` need
     not round as each run's own product does.
+
+    With ``trace=False`` the runs make no diversity reading and no
+    evolution rate, and each result's ``trace`` is ``[]``: in gpso they
+    steer nothing and only fill trace columns, which a campaign does not
+    write.  Every other field is what the traced run gives, bit for bit.
     """
     seeds = list(seeds)
     width = LOCKSTEP_RUNS if spec.rotation is None else 1
     results = []
     for start in range(0, len(seeds), width):
         runs = [_Run(config, spec, seed, "gpso") for seed in seeds[start : start + width]]
-        _gpso(runs)
+        _gpso(runs, trace)
         results += [run.result() for run in runs]
     return results
 
 
-def _gpso(runs: list[_Run]) -> None:
+def _gpso(runs: list[_Run], trace: bool) -> None:
     """Run the gpso ``runs``, which share a config and a problem, as one swarm of a group per run.
 
-    Each run builds its swarm from its own stream and counter and logs
-    it; then the swarms are stacked and every iteration reads, steps and
-    evaluates them together.  Run g's draws fill group g's slice of the
-    step's block from run g's stream (:class:`_Streams`).  The runs share
-    one budget and spend alike, so the stacked swarm spends on one
-    counter holding k times the lead run's budget and use, and each run's
-    own counter takes its group's rows just before its row is logged:
-    each run's record is the one it would make alone.  A single run takes
-    the same loop with k = 1, stepping its own swarm with its own stream.
+    Each run builds its swarm from its own stream and counter and, when
+    traced, logs it; then the swarms are stacked and every iteration
+    steps and evaluates them together.  Run g's draws fill group g's
+    slice of the step's block from run g's stream (:class:`_Streams`).
+    The runs share one budget and spend alike, so the stacked swarm
+    spends on one counter holding k times the lead run's budget and use,
+    and each run's own counter takes its group's rows every iteration:
+    each run's record is the one it would make alone.  Untraced, a run's
+    best-ever is its group's final global best, which only ever improved
+    and is what the traced log would have kept.  A single run takes the
+    same loop with k = 1, stepping its own swarm with its own stream.
     """
     lead, k = runs[0], len(runs)
     config, size = lead.config, lead.config.convergence_size
@@ -444,22 +451,30 @@ def _gpso(runs: list[_Run]) -> None:
     for run in runs:
         run.open_phase("gpso")
         swarms.append(initialize_swarm(run.spec, size, run.rng, run.speed.upper, run.counter))
-        run.cover(swarms[-1])
-    histories = [FitnessHistory(window=config.rate_window) for _ in runs]
+        if trace:
+            run.cover(swarms[-1])
+    if trace:
+        histories = [FitnessHistory(window=config.rate_window) for _ in runs]
     swarm, rng = (swarms[0], lead.rng) if k == 1 else (Swarm.stack(swarms), _Streams(runs))
     counter = EvalCounter(budget=k * lead.counter.budget, used=k * lead.counter.used)
     rows, iteration = swarm.size, 0
     while counter.remaining >= rows:
         iteration += 1
         omega = linear_inertia(iteration, lead.total_iterations)
-        diversities = lead.diversity(swarm)
+        if trace:
+            diversities = lead.diversity(swarm)  # of the swarm before the step
         pso_step(swarm, lead.kinematics(omega), lead.spec, rng, counter)
-        bests = zip(swarm.global_best_position, swarm.global_best_fitness)  # run g's best is group g's
-        for run, history, best, diversity in zip(runs, histories, bests, diversities):
-            run.iteration = iteration
+        for run in runs:
             run.counter.spend(size)
-            history.record(best[1])
-            run.log(best, diversity, omega, evolution_rate(history))
+        if trace:
+            bests = zip(swarm.global_best_position, swarm.global_best_fitness)  # run g's best is group g's
+            for run, history, best, diversity in zip(runs, histories, bests, diversities):
+                run.iteration = iteration
+                history.record(best[1])
+                run.log(best, diversity, omega, evolution_rate(history))
+    if not trace:
+        for run, position, fitness in zip(runs, swarm.global_best_position, swarm.global_best_fitness):
+            run.best_position, run.best_fitness = position.copy(), fitness
 
 
 class _Streams:

@@ -107,6 +107,17 @@ class TestEvolutionRate:
         with pytest.raises(ValueError):
             evolution_rate(FitnessHistory(window=10))
 
+    @pytest.mark.parametrize("window", [0, -3, 2.5, 3.0, True, False, "3", None, np.float64(3.0)])
+    def test_bad_window_rejected_by_name(self, window):
+        with pytest.raises(ValueError, match="^window must be a positive integer$"):
+            FitnessHistory(window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        history = FitnessHistory(window=np.int64(2))
+        for value in (4.0, 2.0, 1.0, 0.5):
+            history.record(value)
+        assert list(history.values) == [2.0, 1.0, 0.5]
+
 
 class TestOmegaExploration:
     def test_raw_formula_endpoints(self):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ampso.optimizer
 from ampso import harness
 from ampso.harness import (
     TRACE_COLUMNS,
@@ -271,6 +272,21 @@ assert "concurrent.futures.process" in sys.modules, pool_modules()
         for run in (0, 2):
             assert records[run] == harness.execute_run(("gpso", "sphere", 2, run, run, TINY, 1))[0]
             assert records[run].error is None and records[run].fe_used == 2000
+
+    def test_a_gpso_cell_takes_no_diversity_reading(self, monkeypatch):
+        # a campaign writes no trace, and gpso's reading fills only the trace
+        readings, reading = [], ampso.optimizer.hybrid_diversity
+
+        def counted(*args):
+            readings.append(args[0].size)
+            return reading(*args)
+
+        monkeypatch.setattr(ampso.optimizer, "hybrid_diversity", counted)
+        grid = dict(functions=("sphere",), dimensions=(2,), runs=3, config=TINY, jobs=1)
+        records, (cell,) = run_campaign(CampaignSpec(algorithms=("gpso",), **grid))
+        assert readings == [] and cell.error is None and [r.fe_used for r in records] == [2000] * 3
+        run_campaign(CampaignSpec(algorithms=("ampso",), **grid))
+        assert readings  # ampso's reading drives its control laws
 
     def test_cell_tasks_queue_before_single_runs(self):
         grid = dict(algorithms=("ampso", "gpso"), functions=("sphere", "ackley"), dimensions=(2,))

@@ -3,7 +3,7 @@
 ``run_gpso_lockstep`` steps a cell's runs as the groups of one swarm, in
 slices of at most ``LOCKSTEP_RUNS``; a problem with a rotation runs one run
 at a time.  Every field of every run's result must be what ``run_gpso``
-gives for that seed alone.
+gives for that seed alone, except an untraced cell's empty traces.
 """
 
 import numpy as np
@@ -40,7 +40,11 @@ def fields_of(result):
     )
 
 
-@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize(
+    "problem, trace",
+    [pytest.param(problem, True, id=problem) for problem in PROBLEMS]
+    + [pytest.param(problem, False, id=f"{problem}-untraced") for problem in PROBLEMS],
+)
 @settings(max_examples=6, deadline=None)
 @given(
     runs=st.sampled_from([1, 2, 3, 4]),
@@ -51,12 +55,16 @@ def fields_of(result):
 @example(runs=LOCKSTEP_RUNS + 1, first_seed=2**64 - 40, swarm=10, budget=300)
 @example(runs=3, first_seed=0, swarm=40, budget=40)  # the first swarm spends everything
 @example(runs=3, first_seed=0, swarm=40, budget=79)  # the slack is one FE short of an iteration
-def test_a_cell_equals_its_runs_one_at_a_time(problem, runs, first_seed, swarm, budget):
+def test_a_cell_equals_its_runs_one_at_a_time(problem, trace, runs, first_seed, swarm, budget):
     config = AmpsoConfig(convergence_size=swarm, fe_budget=budget)
     spec = PROBLEMS[problem]()
     seeds = range(first_seed, first_seed + runs)
-    cell = run_gpso_lockstep(config, spec, seeds)
-    assert [fields_of(result) for result in cell] == [fields_of(run_gpso(config, spec, seed)) for seed in seeds]
+    cell = run_gpso_lockstep(config, spec, seeds, trace=trace)
+    alone = [fields_of(run_gpso(config, spec, seed)) for seed in seeds]
+    if not trace:  # an untraced run keeps every field but its trace
+        assert [result.trace for result in cell] == [[]] * runs
+        alone = [([], *fields[1:]) for fields in alone]
+    assert [fields_of(result) for result in cell] == alone
 
 
 @pytest.mark.parametrize(
