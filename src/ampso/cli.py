@@ -16,8 +16,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import fields
@@ -159,7 +161,10 @@ def cmd_run(args, config: AmpsoConfig) -> int:
     if len(campaign.algorithms) != 1 or len(campaign.functions) != 1:
         raise UsageError("this command takes a single algorithm and function")
     (algorithm,), (function,) = campaign.algorithms, campaign.functions
-    result = ALGORITHMS[algorithm](config, make_spec(function, args.dim))
+    if args.out:
+        _check_trace_path(args.out)
+    # the summary line reads only best_error and fe_used: a trace is kept only to be written
+    result = ALGORITHMS[algorithm](config, make_spec(function, args.dim), trace=bool(args.out))
     if args.out:
         write_trace_csv(args.out, result, stride=args.stride)
     print(
@@ -169,9 +174,25 @@ def cmd_run(args, config: AmpsoConfig) -> int:
     return 0
 
 
+def _check_trace_path(path: str) -> None:
+    """Raise what writing a trace to ``path`` would, before the run spends anything.
+
+    A missing directory, a file where a directory should be and a ``path``
+    that is a directory each raise their ``OSError``, naming ``path``.
+    """
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def cmd_bench(args, config: AmpsoConfig) -> int:
     base_seed = _resolve_seed(args.seed, config)
     campaign = _campaign(args, config, base_seed, runs=args.runs, jobs=args.jobs)
+    os.makedirs(args.out, exist_ok=True)  # a bad output directory fails before any run
     records, cells = run_campaign(campaign)
     paths = write_campaign_outputs(args.out, records, cells)
     for cell in cells:

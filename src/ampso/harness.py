@@ -42,11 +42,11 @@ __all__ = [
     "TRACE_COLUMNS",
 ]
 
-ALGORITHMS = {"ampso": run_ampso, "gpso": run_gpso}
+# a campaign writes no trace, so its runs keep none
+ALGORITHMS = {"ampso": functools.partial(run_ampso, trace=False), "gpso": functools.partial(run_gpso, trace=False)}
 
 # cell entries: every run of one of these algorithms' cells takes the same
-# iterations, so a cell's runs step as one swarm of a group per run; a cell
-# writes no trace, so its runs keep none
+# iterations, so a cell's runs step as one swarm of a group per run
 LOCKSTEP = {"gpso": functools.partial(run_gpso_lockstep, trace=False)}
 
 TRACE_COLUMNS = TracePoint._fields
@@ -317,10 +317,13 @@ def write_campaign_outputs(
 def write_trace_csv(path: str, result: RunResult, stride: int | None = None) -> None:
     """Write a run's trace; ``stride`` keeps rows at least that many FEs apart.
 
-    The first and last rows are always kept.
+    The first and last rows are always kept.  An untraced result, whose
+    trace is empty, is rejected: every traced run logs its first swarm.
     """
     points = result.trace
-    if stride is not None and stride > 1 and points:
+    if not points:
+        raise ValueError("the result holds no trace: run it with trace=True")
+    if stride is not None and stride > 1:
         kept = [points[0]]
         for point in points[1:-1]:
             if point.fe - kept[-1].fe >= stride:

@@ -199,6 +199,11 @@ class _Run:
     ``best_error``.  The run owns no scratch: each swarm's operators bind
     their own in its :class:`~ampso.core.Workspace`.
 
+    ``traced`` is set once per run.  An untraced run keeps only its
+    best-ever solution: :meth:`log` appends no row and :meth:`cover` takes
+    no diversity reading, so its ``trace`` stays ``[]`` and every other
+    result field is the traced run's, bit for bit.
+
     ``total_iterations`` is the iteration budget, ``fe_budget //
     convergence_size``.  ``iteration`` counts iterations across the whole
     run; the trace logs it with the phase that is open.  ``speed`` is the
@@ -208,7 +213,7 @@ class _Run:
     run evaluates through.
     """
 
-    def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None, algorithm: str):
+    def __init__(self, config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None, algorithm: str, trace: bool):
         if seed is not None:
             config = config.with_overrides(seed=seed)
         config.validate()
@@ -225,6 +230,7 @@ class _Run:
         self.best_position: np.ndarray | None = None
         self.best_fitness = math.inf
         self.iteration = 0
+        self.traced = trace
         self.trace: list[TracePoint] = []
         self.phase_starts: list[tuple[str, int]] = []
 
@@ -240,7 +246,7 @@ class _Run:
         return hybrid if type(hybrid) is list else [hybrid]
 
     def log(self, best: tuple[np.ndarray, float], diversity: float, omega: float, er: float) -> None:
-        """Close an iteration: take ``best`` if it beats the best-ever, then append its trace row.
+        """Close an iteration: take ``best`` if it beats the best-ever, then append its trace row if traced.
 
         ``best`` is a (position, fitness) pair.  A swarm offers
         :attr:`Swarm.best`, of k groups the first best one, which is what
@@ -251,19 +257,23 @@ class _Run:
         if fitness < self.best_fitness:
             self.best_fitness = float(fitness)
             self.best_position = position.copy()
-        best_error = self.best_fitness - self.spec.optimum_value
-        phase = self.phase_starts[-1][0]
-        self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
+        if self.traced:
+            best_error = self.best_fitness - self.spec.optimum_value
+            phase = self.phase_starts[-1][0]
+            self.trace.append(TracePoint(self.counter.used, self.iteration, phase, best_error, diversity, omega, er))
 
     def cover(self, swarm: Swarm) -> None:
         """Log ``swarm`` unless the last row already covers every evaluation.
 
         Where a block ends, this logs the swarm of a block that ran no
         iteration.  The row holds its diversity, the mean over its groups,
-        with no inertia or evolution rate.
+        with no inertia or evolution rate.  An untraced run, which has no
+        rows, reads no diversity and always takes the swarm's best: where a
+        row would cover it, the last log already offered that same best.
         """
         if not self.trace or self.trace[-1].fe < self.counter.used:
-            self.log(swarm.best, _mean(self.diversity(swarm)), math.nan, math.nan)
+            diversity = _mean(self.diversity(swarm)) if self.traced else math.nan
+            self.log(swarm.best, diversity, math.nan, math.nan)
 
     def result(self) -> RunResult:
         """The run's outcome; each phase span ends where the next one starts."""
@@ -277,7 +287,7 @@ class _Run:
         )
 
 
-def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
+def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None, trace: bool = True) -> RunResult:
     """Execute one multi-swarm run against ``spec``.
 
     Phases unfold as: (exploration, exploitation)+ convergence.  Each
@@ -296,8 +306,12 @@ def run_ampso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None)
     Exploration trace rows log the mean diversity/inertia across
     sub-swarms and have no evolution rate.  A block that runs no
     iteration logs one row for the swarm it built.
+
+    With ``trace=False`` the result's ``trace`` is ``[]`` and every other
+    field is the traced run's, bit for bit: the diversity and evolution
+    rate still steer the run, but no row records them.
     """
-    run = _Run(config, spec, seed, "ampso")
+    run = _Run(config, spec, seed, "ampso", trace)
     while run.counter.remaining >= config.exploration_size:
         explorers = _explore(run)
         if run.counter.remaining < config.exploitation_size:
@@ -318,7 +332,7 @@ def _explore(run: _Run) -> Swarm:
     run.open_phase(EXPLORATION)
     k, size = config.exploration_size // config.sub_swarm_size, config.sub_swarm_size
     swarm = Swarm.stack([initialize_swarm(run.spec, size, run.rng, run.speed.upper, counter) for _ in range(k)])
-    if not run.trace:
+    if len(run.phase_starts) == 1:  # the run's first swarm
         run.cover(swarm)
 
     t = 0
@@ -329,7 +343,8 @@ def _explore(run: _Run) -> Swarm:
         omegas = [omega_exploration(e) for e in diversities]
         column = np.array(omegas).repeat(config.sub_swarm_size)[:, None]  # each group's inertia on its rows
         pso_step(swarm, run.kinematics(column), run.spec, run.rng, counter)
-        run.log(swarm.best, _mean(diversities), _mean(omegas), math.nan)
+        row = (_mean(diversities), _mean(omegas)) if run.traced else (math.nan, math.nan)
+        run.log(swarm.best, *row, math.nan)
     run.cover(swarm)
     return swarm
 
@@ -395,14 +410,15 @@ def _converge(run: _Run) -> None:
     run.cover(swarm)
 
 
-def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None) -> RunResult:
+def run_gpso(config: AmpsoConfig, spec: ObjectiveSpec, seed: int | None = None, trace: bool = True) -> RunResult:
     """Baseline single-swarm run: global best, inertia 0.9 -> 0.4 linearly.
 
     Uses ``convergence_size`` particles and the same velocity cap, bound
     handling, budget law and trace contract as the multi-swarm run; the
-    diversity column is diagnostic only.
+    diversity column is diagnostic only.  ``trace`` is as in
+    :func:`run_gpso_lockstep`.
     """
-    return run_gpso_lockstep(config, spec, [seed])[0]
+    return run_gpso_lockstep(config, spec, [seed], trace)[0]
 
 
 def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds, trace: bool = True) -> list[RunResult]:
@@ -424,17 +440,18 @@ def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds, trace: bo
     width = LOCKSTEP_RUNS if spec.rotation is None else 1
     results = []
     for start in range(0, len(seeds), width):
-        runs = [_Run(config, spec, seed, "gpso") for seed in seeds[start : start + width]]
-        _gpso(runs, trace)
+        runs = [_Run(config, spec, seed, "gpso", trace) for seed in seeds[start : start + width]]
+        _gpso(runs)
         results += [run.result() for run in runs]
     return results
 
 
-def _gpso(runs: list[_Run], trace: bool) -> None:
-    """Run the gpso ``runs``, which share a config and a problem, as one swarm of a group per run.
+def _gpso(runs: list[_Run]) -> None:
+    """Run the gpso ``runs``, which share a config, a problem and
+    :attr:`_Run.traced`, as one swarm of a group per run.
 
-    Each run builds its swarm from its own stream and counter and, when
-    traced, logs it; then the swarms are stacked and every iteration
+    Each run builds its swarm from its own stream and counter and logs
+    it; then the swarms are stacked and every iteration
     steps and evaluates them together.  Run g's draws fill group g's
     slice of the step's block from run g's stream (:class:`_Streams`).
     The runs share one budget and spend alike, so the stacked swarm
@@ -446,15 +463,13 @@ def _gpso(runs: list[_Run], trace: bool) -> None:
     same loop with k = 1, stepping its own swarm with its own stream.
     """
     lead, k = runs[0], len(runs)
-    config, size = lead.config, lead.config.convergence_size
+    config, size, trace = lead.config, lead.config.convergence_size, lead.traced
     swarms = []
     for run in runs:
         run.open_phase("gpso")
         swarms.append(initialize_swarm(run.spec, size, run.rng, run.speed.upper, run.counter))
-        if trace:
-            run.cover(swarms[-1])
-    if trace:
-        histories = [FitnessHistory(window=config.rate_window) for _ in runs]
+        run.cover(swarms[-1])
+    histories = [FitnessHistory(window=config.rate_window) for _ in runs]  # filled only when traced
     swarm, rng = (swarms[0], lead.rng) if k == 1 else (Swarm.stack(swarms), _Streams(runs))
     counter = EvalCounter(budget=k * lead.counter.budget, used=k * lead.counter.used)
     rows, iteration = swarm.size, 0
@@ -473,8 +488,8 @@ def _gpso(runs: list[_Run], trace: bool) -> None:
                 history.record(best[1])
                 run.log(best, diversity, omega, evolution_rate(history))
     if not trace:
-        for run, position, fitness in zip(runs, swarm.global_best_position, swarm.global_best_fitness):
-            run.best_position, run.best_fitness = position.copy(), fitness
+        for run, best in zip(runs, zip(swarm.global_best_position, swarm.global_best_fitness)):
+            run.log(best, math.nan, math.nan, math.nan)
 
 
 class _Streams:

@@ -352,6 +352,39 @@ class TestTraceCommand:
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("missing/t.csv", "[Errno 2] No such file or directory"),
+            ("afile/t.csv", "[Errno 20] Not a directory"),
+            ("adir", "[Errno 21] Is a directory"),
+        ],
+    )
+    def test_unwritable_trace_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch, out, message):
+        runs, run = [], harness.ALGORITHMS["gpso"]
+        monkeypatch.setitem(harness.ALGORITHMS, "gpso", lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / out
+        args = ["run", "--algo", "gpso", "--function", "sphere", "--dim", "2", "--out", str(path)] + BUDGET_ARGS
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout, err) == (1, "", f"error: {message}: '{path}'\n")
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"] and not any((tmp_path / "adir").iterdir())
+
+    def test_a_run_keeps_a_trace_only_to_write_it(self, tmp_path, capsys, monkeypatch):
+        kept, run = [], harness.ALGORITHMS["ampso"]
+
+        def spy(*args, **kwargs):
+            result = run(*args, **kwargs)
+            kept.append(bool(result.trace))
+            return result
+
+        monkeypatch.setitem(harness.ALGORITHMS, "ampso", spy)
+        args = ["run", "--function", "sphere", "--dim", "2"] + BUDGET_ARGS
+        lines = [run_cli(args, capsys)[1], run_cli(args + ["--out", str(tmp_path / "t.csv")], capsys)[1]]
+        assert kept == [False, True] and lines[0] == lines[1]
+
     def test_directory_as_output_names_the_given_path(self, tmp_path, capsys):
         out = tmp_path / "adir"
         out.mkdir()
@@ -366,6 +399,24 @@ class TestTraceCommand:
 
 
 class TestBenchCommand:
+    def test_file_as_output_directory_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        tasks, execute_run = [], harness.execute_run
+        monkeypatch.setattr(harness, "execute_run", lambda task: tasks.append(task) or execute_run(task))
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        args = ["bench", "--algo", "ampso,gpso", "--function", "sphere", "--dim", "2", "--runs", "2"]
+        code, stdout, err = run_cli(args + ["--out", str(out)] + BUDGET_ARGS, capsys)
+        assert (code, stdout, err) == (1, "", f"error: [Errno 17] File exists: '{out}'\n")
+        assert tasks == [] and out.read_text() == "kept"
+
+    def test_missing_output_directory_made_before_the_runs(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "new" / "bench"
+        made, execute_run = [], harness.execute_run
+        monkeypatch.setattr(harness, "execute_run", lambda task: made.append(out.is_dir()) or execute_run(task))
+        args = ["bench", "--algo", "gpso", "--function", "sphere", "--dim", "2", "--runs", "2", "--out", str(out)]
+        assert run_cli(args + BUDGET_ARGS, capsys)[0] == 0
+        assert made == [True] and (out / "runs.csv").exists()
+
     def test_single_run_statistics_degenerate(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code, out, _ = run_cli(

@@ -281,12 +281,17 @@ assert "concurrent.futures.process" in sys.modules, pool_modules()
             readings.append(args[0].size)
             return reading(*args)
 
+        def no_row(*args):
+            raise AssertionError("a campaign run built a trace row")
+
         monkeypatch.setattr(ampso.optimizer, "hybrid_diversity", counted)
+        monkeypatch.setattr(ampso.optimizer, "TracePoint", no_row)
         grid = dict(functions=("sphere",), dimensions=(2,), runs=3, config=TINY, jobs=1)
         records, (cell,) = run_campaign(CampaignSpec(algorithms=("gpso",), **grid))
         assert readings == [] and cell.error is None and [r.fe_used for r in records] == [2000] * 3
-        run_campaign(CampaignSpec(algorithms=("ampso",), **grid))
-        assert readings  # ampso's reading drives its control laws
+        # ampso's reading drives its control laws, but no campaign run keeps a trace row of it
+        _, (cell,) = run_campaign(CampaignSpec(algorithms=("ampso",), **grid))
+        assert readings and cell.error is None
 
     def test_cell_tasks_queue_before_single_runs(self):
         grid = dict(algorithms=("ampso", "gpso"), functions=("sphere", "ackley"), dimensions=(2,))
@@ -386,6 +391,12 @@ class TestTraceCsv:
         errors = [float(r["best_error"]) for r in rows]
         assert all(b > a for a, b in zip(fes, fes[1:]))
         assert all(b <= a for a, b in zip(errors, errors[1:]))
+
+    def test_untraced_result_rejected(self, tmp_path):
+        untraced = run_ampso(TINY, make_spec("rastrigin", 2), seed=4, trace=False)
+        with pytest.raises(ValueError, match="holds no trace"):
+            write_trace_csv(str(tmp_path / "trace.csv"), untraced, stride=10)
+        assert not any(tmp_path.iterdir())
 
     def test_stride_thins_rows(self, tmp_path, result):
         dense = tmp_path / "dense.csv"

@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ampso.optimizer as optimizer_module
-from ampso.benchmarks import REGISTRY, make_spec
+from ampso.benchmarks import REGISTRY, make_spec, random_rotation
 from ampso.core import Bounds, ObjectiveSpec
 from ampso.optimizer import (
     CONVERGENCE,
@@ -333,6 +335,41 @@ def test_last_trace_row_covers_every_evaluation(overrides):
     assert result.trace[-1].best_error == result.best_error
     assert result.trace[-1].phase == result.phase_log[-1].phase
     assert [p.fe for p in result.trace] == sorted({p.fe for p in result.trace})
+
+
+def shifted_rotated_rastrigin(dim):
+    rng = np.random.default_rng(1001)
+    return make_spec("rastrigin", dim, shift=rng.uniform(-4.0, 4.0, dim), rotation=random_rotation(dim, rng))
+
+
+PROBLEMS = ["sphere", "rastrigin", "ackley", "griewank", "rosenbrock", "shifted-rotated-rastrigin"]
+# small swarms reach the blocks that run no iteration and the swarm spawned with nothing left to step it
+SMALL = dict(exploration_size=2, sub_swarm_size=2, exploitation_size=2, convergence_size=6, replace_ratio=0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    run=st.sampled_from([run_ampso, run_gpso]),
+    problem=st.sampled_from(PROBLEMS),
+    dim=st.sampled_from([1, 2, 5, 10]),
+    seed=st.integers(0, 2**64 - 1),
+    budget=st.integers(40, 3000),
+    exploration_ratio=st.sampled_from([0.0, 0.02, 0.2]),
+    small=st.booleans(),
+)
+@example(run=run_ampso, problem="shifted-rotated-rastrigin", dim=10, seed=0, budget=3000, exploration_ratio=0.02, small=False)
+@example(run=run_ampso, problem="sphere", dim=1, seed=0, budget=40, exploration_ratio=0.0, small=True)
+@example(run=run_gpso, problem="sphere", dim=2, seed=3, budget=79, exploration_ratio=0.02, small=False)
+def test_an_untraced_run_keeps_every_field_but_its_trace(run, problem, dim, seed, budget, exploration_ratio, small):
+    spec = shifted_rotated_rastrigin(dim) if problem == "shifted-rotated-rastrigin" else make_spec(problem, dim)
+    config = AmpsoConfig(fe_budget=budget, exploration_ratio=exploration_ratio, **(SMALL if small else {}))
+    traced, untraced = run(config, spec, seed), run(config, spec, seed, trace=False)
+
+    def fields_of(result):  # floats as repr: equal strings are equal bits
+        return result.best_position.tobytes(), repr(result.best_error), result.fe_used, result.phase_log
+
+    assert traced.trace and untraced.trace == []
+    assert fields_of(untraced) == fields_of(traced)
 
 
 def test_exploration_mean_is_numpy_mean_bit_for_bit():
