@@ -55,10 +55,12 @@ EXPLORATION = "exploration"
 EXPLOITATION = "exploitation"
 CONVERGENCE = "convergence"
 
-# the most runs one lockstep swarm holds: it caps the stacked swarm's arrays
-# at those of 32 runs; a traced cell's memory is not capped, since every run's
-# trace is kept until the cell returns; the saving per evaluation has
-# levelled off by 30
+# the runs one lockstep slice holds at the paper's sizes, 40 particles in
+# D=10: a slice holds as many runs as fill that 12,800-element block, and at
+# least one.  Stacking pays only while the block stays near that size, so
+# the width moves with the block: 10 runs at D=30, 3 at D=100.  A traced
+# cell's memory is not capped, since every run's trace is kept until the
+# cell returns
 LOCKSTEP_RUNS = 32
 
 
@@ -425,25 +427,24 @@ def run_gpso_lockstep(config: AmpsoConfig, spec: ObjectiveSpec, seeds, trace: bo
     """``[run_gpso(config, spec, seed) for seed in seeds]`` bit for bit, stepped in lockstep.
 
     Every gpso run of one config and problem takes the same iterations
-    with the same inertia, so up to :data:`LOCKSTEP_RUNS` runs at a time
-    step as the groups of one swarm: one reading, one step and one
-    objective call an iteration instead of one per run.  A problem with a
-    rotation runs one run at a time, because a stacked ``x @ Q.T`` need
-    not round as each run's own product does.
+    with the same inertia, so the runs step in slices, each slice as the
+    groups of one swarm: one reading, one step and one objective call an
+    iteration instead of one per run.  Every problem, rotated or not,
+    takes one slice rule: a slice holds as many runs as fill the block of
+    :data:`LOCKSTEP_RUNS` runs at the paper's sizes (40 particles in
+    D=10), and at least one.  Every run is built, and so its seed and
+    config checked, before any run spends.
 
     With ``trace=False`` the runs make no diversity reading and no
     evolution rate, and each result's ``trace`` is ``[]``: in gpso they
     steer nothing and only fill trace columns, which a campaign does not
     write.  Every other field is what the traced run gives, bit for bit.
     """
-    seeds = list(seeds)
-    width = LOCKSTEP_RUNS if spec.rotation is None else 1
-    results = []
-    for start in range(0, len(seeds), width):
-        runs = [_Run(config, spec, seed, "gpso", trace) for seed in seeds[start : start + width]]
-        _gpso(runs)
-        results += [run.result() for run in runs]
-    return results
+    runs = [_Run(config, spec, seed, "gpso", trace) for seed in seeds]
+    width = max(1, LOCKSTEP_RUNS * 40 * 10 // (config.convergence_size * spec.dimension)) if runs else 1
+    for start in range(0, len(runs), width):
+        _gpso(runs[start : start + width])
+    return [run.result() for run in runs]
 
 
 def _gpso(runs: list[_Run]) -> None:
@@ -459,11 +460,19 @@ def _gpso(runs: list[_Run]) -> None:
     and each run's own counter takes its group's rows every iteration:
     each run's record is the one it would make alone.  Untraced, a run's
     best-ever is its group's final global best, which only ever improved
-    and is what the traced log would have kept.  A single run takes the
-    same loop with k = 1, stepping its own swarm with its own stream.
+    and is what the traced log would have kept.  The stacked swarm
+    evaluates through a copy of the lead run's problem whose transform
+    maps the ``(k·s, D)`` block as ``(k, s, D)``: a batched ``@`` rounds
+    each group as that run's own ``(s, D)`` product does, where a stacked
+    one need not, and the lead's own transform, traced or not, is the one
+    called.  A single run takes the same loop with k = 1, stepping its own
+    swarm with its own stream and problem.
     """
     lead, k = runs[0], len(runs)
     config, size, trace = lead.config, lead.config.convergence_size, lead.traced
+    spec = lead.spec if k == 1 else copy.copy(lead.spec)
+    if k > 1:
+        spec.transform = lambda block: lead.spec.transform(block.reshape(k, size, -1)).reshape(k * size, -1)
     swarms = []
     for run in runs:
         run.open_phase("gpso")
@@ -478,7 +487,7 @@ def _gpso(runs: list[_Run]) -> None:
         omega = linear_inertia(iteration, lead.total_iterations)
         if trace:
             diversities = lead.diversity(swarm)  # of the swarm before the step
-        pso_step(swarm, lead.kinematics(omega), lead.spec, rng, counter)
+        pso_step(swarm, lead.kinematics(omega), spec, rng, counter)
         for run in runs:
             run.counter.spend(size)
         if trace:
